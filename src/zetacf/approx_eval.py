@@ -20,6 +20,7 @@ identity at rational sample points before being returned.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -205,6 +206,28 @@ def eval_pf_precise(pf: PartialFraction, s, precision: int = 256,
 
 
 @dataclass(frozen=True)
+class _Family:
+    """What distinguishes the two factorial series: the shift sigma_j of the
+    j-th denominator factor s + sigma_j, the weight w_j that scales the
+    coefficients (T_j = w_j u_j), and the factor that turns the approximant
+    into the series sum."""
+
+    shift: Callable[[int], int]
+    weight: Callable[[int], int]
+    normalizer: Callable[[int, Fraction], Fraction]
+
+
+_FAMILIES = {
+    "G": _Family(shift=lambda j: j,
+                 weight=lambda j: factorial(j + 1),
+                 normalizer=lambda m, s: m * s * (s - 1)),
+    "F": _Family(shift=lambda j: 2 * j - 3,
+                 weight=lambda j: 2 ** (j - 1) * factorial(j - 1) if j else 1,
+                 normalizer=lambda m, s: (m + 1) * s),
+}
+
+
+@dataclass(frozen=True)
 class FactorialExpansion:
     """Finite factorial series for a normalized approximant.
 
@@ -219,33 +242,48 @@ class FactorialExpansion:
     m: int
     terms: tuple[Fraction, ...]
 
+    @property
+    def family(self) -> _Family:
+        try:
+            return _FAMILIES[self.kind]
+        except KeyError:
+            raise ValueError(f"unknown expansion kind {self.kind!r}") from None
+
 
 def expansion_value(exp: FactorialExpansion, s: Fraction) -> Fraction:
     """Exact value of the factorial series at rational s (not at a pole)."""
+    shift = exp.family.shift
     total = Fraction(0)
     denom = Fraction(1)
     for j, T in enumerate(exp.terms):
         if j > 0:
-            denom *= s + (j if exp.kind == "G" else 2 * j - 3)
+            denom *= s + shift(j)
         total += T / denom
     return total
 
 
-def _normalized_value(kind: str, m: int, s: Fraction, pf: PartialFraction) -> Fraction:
+def _normalized_value(exp: FactorialExpansion, s: Fraction, pf: PartialFraction) -> Fraction:
     g = eval_pf(pf, s)
     if isinstance(g, PoleIndicator):
         raise ValueError("identity check point hit a pole")
-    if kind == "G":
-        return m * s * (s - 1) * g
-    return (m + 1) * s * g
+    return exp.family.normalizer(exp.m, s) * g
 
 
 def expansion_identity_holds(exp: FactorialExpansion, pf: PartialFraction,
                              points=_CHECK_POINTS) -> bool:
     return all(
-        expansion_value(exp, s) == _normalized_value(exp.kind, exp.m, s, pf)
+        expansion_value(exp, s) == _normalized_value(exp, s, pf)
         for s in points
     )
+
+
+def _expansion(kind: str, m: int, u, pf: PartialFraction) -> FactorialExpansion:
+    """T_j = w_j u_j, verified exactly against the partial fraction."""
+    weight = _FAMILIES[kind].weight
+    exp = FactorialExpansion(kind, m, tuple(weight(j) * x for j, x in enumerate(u)))
+    if not expansion_identity_holds(exp, pf):
+        raise InternalConsistencyError(f"{kind} expansion identity failed for m={m}")
+    return exp
 
 
 def g_expansion(m: int) -> FactorialExpansion:
@@ -253,12 +291,7 @@ def g_expansion(m: int) -> FactorialExpansion:
     is verified exactly at three rational non-pole points on construction."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    table = coeff_table(m - 1)
-    terms = tuple(factorial(j + 1) * table.a[j] for j in range(m))
-    exp = FactorialExpansion("G", m, terms)
-    if not expansion_identity_holds(exp, build_g(m)):
-        raise InternalConsistencyError(f"G expansion identity failed for m={m}")
-    return exp
+    return _expansion("G", m, coeff_table(m - 1).a, build_g(m))
 
 
 def f_expansion(m: int, cseq: CSequence | None = None) -> FactorialExpansion:
@@ -268,13 +301,7 @@ def f_expansion(m: int, cseq: CSequence | None = None) -> FactorialExpansion:
         raise ValueError("m must be >= 1")
     if cseq is None or cseq.m != m:
         cseq = c_direct(m)
-    terms = [Fraction(1)]
-    for j in range(1, len(cseq.c)):
-        terms.append(2 ** (j - 1) * factorial(j - 1) * cseq.c[j])
-    exp = FactorialExpansion("F", m, tuple(terms))
-    if not expansion_identity_holds(exp, build_f(m)):
-        raise InternalConsistencyError(f"F expansion identity failed for m={m}")
-    return exp
+    return _expansion("F", m, cseq.c, build_f(m))
 
 
 # ---------------------------------------------------------------------------
@@ -318,50 +345,38 @@ def euler_cf(exp: FactorialExpansion) -> ContinuedFraction:
     """Convert a factorial expansion into the continued fraction for
     1/(expansion sum) - 1 by Euler's identity on the term ratios.
 
-    With partial quotients x_j = T_j / (T_{j-1} (s + shift_j)), Euler's
+    With partial quotients x_j = T_j / (T_{j-1} (s + sigma_j)), Euler's
     identity gives 1/S - 1 = -x_1/(1+x_1 - x_2/(1+x_2 - ...)); clearing
     denominators level by level (an equivalence transformation) produces
-    levels linear in s. In the G form, with a_j = T_j/(j+1)!:
+    levels linear in s. With u_j = T_j / w_j and rho_j = w_j / w_{j-1}:
 
-        num_1 = -2 a_1                     den_1 = 2 a_1 + a_0 (s+1)
-        num_j = -(j+1) a_{j-2} a_j (s+j-1) den_j = (j+1) a_j + a_{j-1} (s+j)
+        num_1 = -rho_1 u_1
+        num_j = -rho_j u_{j-2} u_j (s + sigma_{j-1})      (j >= 2)
+        den_j = rho_j u_j + u_{j-1} (s + sigma_j)
 
-    and in the F form, with c_j = T_j / (2^{j-1} (j-1)!):
-
-        num_1 = -c_1                       den_1 = c_1 + c_0 (s-1)
-        num_j = -2(j-1) c_{j-2} c_j (s+2j-5)
-        den_j = 2(j-1) c_j + c_{j-1} (s+2j-3)
+    One construction serves both families (Wall, Analytic Theory of
+    Continued Fractions, 1948, ch. 1): sigma_j = j, w_j = (j+1)! (so u_j =
+    a_{m-1,j}) for G, and sigma_j = 2j-3, w_j = 2^{j-1} (j-1)!, w_0 = 1
+    (so u_j = c_{m,j}) for F.
 
     The construction is verified exactly against 1/S - 1 at a rational point.
     """
     T = exp.terms
     if len(T) < 2:
         raise ValueError("expansion must have at least 2 terms to form a continued fraction")
+    family = exp.family
+    w = [family.weight(j) for j in range(len(T))]
+    u = [t / wj for t, wj in zip(T, w)]
     levels = []
-    if exp.kind == "G":
-        a = [T[j] / factorial(j + 1) for j in range(len(T))]
-        for j in range(1, len(T)):
-            if j == 1:
-                num = Poly([-2 * a[1]])
-                den = Poly.linear(2 * a[1] + a[0], a[0])
-            else:
-                coef = -(j + 1) * a[j - 2] * a[j]
-                num = Poly.linear(coef * (j - 1), coef)
-                den = Poly.linear((j + 1) * a[j] + j * a[j - 1], a[j - 1])
-            levels.append(CFLevel(num, den))
-    elif exp.kind == "F":
-        c = [T[0]] + [T[j] / (2 ** (j - 1) * factorial(j - 1)) for j in range(1, len(T))]
-        for j in range(1, len(T)):
-            if j == 1:
-                num = Poly([-c[1]])
-                den = Poly.linear(c[1] - c[0], c[0])
-            else:
-                coef = -2 * (j - 1) * c[j - 2] * c[j]
-                num = Poly.linear(coef * (2 * j - 5), coef)
-                den = Poly.linear(2 * (j - 1) * c[j] + (2 * j - 3) * c[j - 1], c[j - 1])
-            levels.append(CFLevel(num, den))
-    else:
-        raise ValueError(f"unknown expansion kind {exp.kind!r}")
+    for j in range(1, len(T)):
+        rho = Fraction(w[j], w[j - 1])
+        if j == 1:
+            num = Poly([-rho * u[1]])
+        else:
+            coef = -rho * u[j - 2] * u[j]
+            num = Poly.linear(coef * family.shift(j - 1), coef)
+        den = Poly.linear(rho * u[j] + family.shift(j) * u[j - 1], u[j - 1])
+        levels.append(CFLevel(num, den))
     cf = ContinuedFraction(exp.kind, exp.m, tuple(levels))
     s0 = Fraction(7, 3)
     lhs = eval_cf(cf, s0).value

@@ -88,8 +88,14 @@ class RunConfig:
     jobs: int = 1
 
     def __post_init__(self):
+        for name in ("precision", "seed", "jobs"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.precision < 53:
             raise ValueError("precision must be >= 53 bits")
+        if self.jobs < 1:
+            raise ValueError("jobs must be >= 1")
         if self.format not in ("json", "csv"):
             raise ValueError("format must be json or csv")
 
@@ -104,13 +110,17 @@ class RunConfig:
 
 
 def _load_config(path: str = CONFIG_PATH) -> dict:
+    """Run defaults from the config file, if there is one. An unreadable or
+    malformed file raises ValueError, which main reports as a usage error."""
     p = Path(path)
     if not p.is_file():
         return {}
     try:
         data = json.loads(p.read_text())
-    except (OSError, json.JSONDecodeError):
-        return {}
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"{path} must hold a JSON object")
     return {k: data[k] for k in ("precision", "format", "seed", "jobs") if k in data}
 
 

@@ -57,10 +57,6 @@ class CoeffTable:
     m: int
     a: tuple[Fraction, ...]
 
-    def ratio(self, j: int) -> Fraction:
-        """a_j / a_{j-1} for 1 <= j <= m."""
-        return self.a[j] / self.a[j - 1]
-
     def validate(self, deep: bool = False) -> None:
         """Check the structural invariants; `deep` also verifies that the
         polynomial vanishes at t = 1..m (an O(m^2) integer computation)."""
@@ -229,9 +225,6 @@ class CSequence:
     @property
     def k_max(self) -> int:
         return len(self.c) - 1
-
-    def ratio(self, k: int) -> Fraction:
-        return self.c[k] / self.c[k - 1]
 
 
 def _c_from_int_row(m: int, S: list[int], bern: BernoulliTable) -> tuple[Fraction, ...]:
@@ -416,19 +409,17 @@ def a_invariant_witness(m_max: int, deep_roots: bool = True) -> Witness | None:
     Newton's binomial-normalized log-concavity, and the resulting
     non-increase of j a_j / a_{j-1}. All comparisons are integer-exact.
     """
-    hnum, hden = 0, 1
     fm = 1
-    for m, S in stirling_rows(m_max):
+    for (m, S), hv in zip(stirling_rows(m_max), harmonic_sums(m_max)):
+        h = hv.h
         if m >= 1:
-            hnum = hnum * m + hden
-            hden = hden * m
             fm *= m
         if S[0] != fm:
             return Witness("a0=1", m, 0, Fraction(S[0], fm), Fraction(1))
         if m >= 1:
-            # a_1 = h_m  <=>  S[1] * hden == hnum * m!
-            if S[1] * hden != hnum * fm:
-                return Witness("a1=h_m", m, 1, Fraction(S[1], fm), Fraction(hnum, hden))
+            # a_1 = h_m  <=>  S[1] * den(h) == num(h) * m!
+            if S[1] * h.denominator != h.numerator * fm:
+                return Witness("a1=h_m", m, 1, Fraction(S[1], fm), h)
             if S[m] != 1:
                 return Witness("am=1/m!", m, m, Fraction(S[m], fm), Fraction(1, fm))
         if any(s <= 0 for s in S):

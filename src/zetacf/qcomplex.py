@@ -11,21 +11,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import mpmath as mp
+
 __all__ = ["QComplex"]
 
 
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
+    if isinstance(x, (int, float)):
         return Fraction(x)  # exact: binary floats are dyadic rationals
-    # mpmath mpf values are dyadic too; Fraction accepts them via mpf->Fraction
-    try:
-        return Fraction(x)
-    except (TypeError, ValueError):
-        raise TypeError(f"cannot represent {x!r} exactly as a rational") from None
+    if isinstance(x, mp.mpf):
+        if not mp.isfinite(x):
+            raise ValueError(f"{x!r} is not a finite rational")
+        man, exp = x.man_exp
+        return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+    raise TypeError(f"cannot represent {x!r} exactly as a rational")
 
 
 @dataclass(frozen=True)
@@ -34,18 +35,12 @@ class QComplex:
     im: Fraction
 
     @classmethod
-    def make(cls, re, im=0) -> "QComplex":
-        return cls(_frac(re), _frac(im))
-
-    @classmethod
     def from_value(cls, z) -> "QComplex":
         """Exact conversion from QComplex, rational, dyadic float, complex,
-        or an mpmath mpc."""
+        or an mpmath mpf or mpc."""
         if isinstance(z, QComplex):
             return z
-        if isinstance(z, complex):
-            return cls(_frac(z.real), _frac(z.imag))
-        if hasattr(z, "real") and hasattr(z, "imag") and not isinstance(z, (int, float, Fraction)):
+        if isinstance(z, (complex, mp.mpc)):
             return cls(_frac(z.real), _frac(z.imag))
         return cls(_frac(z), Fraction(0))
 

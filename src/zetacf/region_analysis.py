@@ -12,6 +12,7 @@ independently computed accelerated alternating series.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,15 +20,18 @@ from math import factorial
 
 import mpmath as mp
 
-from .approx_eval import _to_mpc, build_f, build_g
+from .approx_eval import _pf_value_at_prec, _to_mpc, build_f, build_g
 from .coeff_core import (
     BernoulliTable,
+    _stirling_row,
     bernoulli_table,
     c_sequences,
+    harmonic,
+    harmonic_sums,
     stirling_rows,
 )
 from .errors import ReferenceAccuracyError, UncertifiableError
-from .qcomplex import QComplex
+from .qcomplex import QComplex, _frac
 from .series import Poly, PowerSeries
 
 __all__ = [
@@ -102,15 +106,6 @@ def _axis(lo: Fraction, hi: Fraction, n: int) -> list[Fraction]:
     return [lo + i * step for i in range(n)]
 
 
-def _mpf_to_fraction(x) -> Fraction:
-    sign, man, exp, _ = x._mpf_
-    if man == 0:
-        return Fraction(0)
-    v = Fraction(man)
-    v = v * Fraction(2) ** exp if exp >= 0 else v / (Fraction(2) ** (-exp))
-    return -v if sign else v
-
-
 def half_sqrt_log_lower(m: int, denom_bits: int = 16) -> Fraction:
     """Certified rational lower bound for (1/2) sqrt(log m).
 
@@ -126,10 +121,8 @@ def half_sqrt_log_lower(m: int, denom_bits: int = 16) -> Fraction:
         val = iv.sqrt(iv.log(m)) / 2
     finally:
         iv.prec = old
-    sign, man, exp, _ = val._mpi_[0]  # certified lower endpoint
-    lower = Fraction(int(man)) * Fraction(2) ** exp
-    if sign:
-        lower = -lower
+    with mp.workprec(80):  # the endpoint has 80 bits: converting it is exact
+        lower = _frac(mp.mpf(val.a))  # certified lower endpoint
     q = 1 << denom_bits
     return Fraction(math.floor(lower * q), q)
 
@@ -156,9 +149,7 @@ class _MarginContext:
         if m < 3:
             raise ValueError("the element test needs m >= 3 (k range 1..m-2)")
         self.m = m
-        for _, row in stirling_rows(m - 1):
-            pass
-        S = row
+        S = _stirling_row(m - 1)
         self.P = [0] * m  # P[k], valid for k = 1..m-1
         self.Q = [0] * m
         self.Q2 = [0] * m
@@ -172,17 +163,9 @@ class _MarginContext:
             self.PQ2[k] = t * t
 
 
-_CONTEXT_CACHE: dict[int, _MarginContext] = {}
-
-
+@functools.lru_cache(maxsize=4)
 def _margin_context(m: int) -> _MarginContext:
-    ctx = _CONTEXT_CACHE.get(m)
-    if ctx is None:
-        ctx = _MarginContext(m)
-        if len(_CONTEXT_CACHE) >= 4:
-            _CONTEXT_CACHE.pop(next(iter(_CONTEXT_CACHE)))
-        _CONTEXT_CACHE[m] = ctx
-    return ctx
+    return _MarginContext(m)
 
 
 def _int_ratio_float(a: int, b: int) -> float:
@@ -210,21 +193,10 @@ class MarginResult:
 
 
 def _rationalize_point(s) -> tuple[Fraction, Fraction]:
-    if isinstance(s, QComplex):
-        return s.re, s.im
     if isinstance(s, tuple):
         return Fraction(s[0]), Fraction(s[1])
-    if isinstance(s, (int, Fraction)):
-        return Fraction(s), Fraction(0)
-    if isinstance(s, complex):
-        return Fraction(s.real), Fraction(s.imag)  # exact: dyadic
-    if isinstance(s, float):
-        return Fraction(s), Fraction(0)
-    if isinstance(s, mp.mpc):
-        return _mpf_to_fraction(s.real), _mpf_to_fraction(s.imag)
-    if isinstance(s, mp.mpf):
-        return _mpf_to_fraction(s), Fraction(0)
-    raise TypeError(f"cannot represent {s!r} exactly for the element test")
+    z = QComplex.from_value(s)
+    return z.re, z.im
 
 
 def _point_margin(ctx: _MarginContext, sigma: Fraction, t: Fraction,
@@ -504,12 +476,13 @@ class RatioBoundsResult:
     witness: str | None
 
 
-def _ratio_bounds_row(m: int, S: list[int], hnum: int, hden: int) -> RatioBoundsResult:
+def _ratio_bounds_row(m: int, S: list[int], h: Fraction) -> RatioBoundsResult:
     """Check row m-1 (S = integer row of a_{m-1,.}, h = h_{m-1}).
 
     j = 1 is always checked (both bounds hold trivially there); beyond that
     the range is the strict j <= h_{m-1}/2.
     """
+    hnum, hden = h.numerator, h.denominator
     j_max = 0
     j = 1
     while (j == 1 or 2 * j * hden <= hnum) and j <= m - 1:
@@ -537,25 +510,15 @@ def ratio_bounds_check(m: int) -> RatioBoundsResult:
     and that j a_j/a_{j-1} never increases over the full range."""
     if m < 2:
         raise ValueError("m must be >= 2")
-    for _, S in stirling_rows(m - 1):
-        pass
-    hnum, hden = 0, 1
-    for r in range(1, m):
-        hnum = hnum * r + hden
-        hden *= r
-    return _ratio_bounds_row(m, S, hnum, hden)
+    return _ratio_bounds_row(m, _stirling_row(m - 1), harmonic(m - 1).h)
 
 
 def ratio_bounds_sweep(m_max: int) -> RatioBoundsResult | None:
     """First failing m <= m_max, or None when every check passes."""
-    hnum, hden = 0, 1
-    for n, S in stirling_rows(m_max - 1):
-        if n >= 1:
-            hnum = hnum * n + hden
-            hden *= n
+    for (n, S), h in zip(stirling_rows(m_max - 1), harmonic_sums(m_max - 1)):
         if n + 1 < 2:
             continue
-        res = _ratio_bounds_row(n + 1, S, hnum, hden)
+        res = _ratio_bounds_row(n + 1, S, h.h)
         if not res.passed:
             return res
     return None
@@ -601,16 +564,15 @@ def _atan2_fractions(y: Fraction, x: Fraction) -> float:
     return math.atan2(a, b)
 
 
-def zero_scan(poly: Poly, rectangle, precision: int | None = None,
-              initial_per_edge: int = 16, max_samples: int = 200_000) -> ZeroScanResult:
+def zero_scan(poly: Poly, rectangle, initial_per_edge: int = 16,
+              max_samples: int = 200_000) -> ZeroScanResult:
     """Winding number of `poly` around a rational rectangle.
 
     Boundary points are rational, so every value is an exact QComplex and the
     evaluation error is zero; the winding count is certified by keeping each
     successive argument step under pi/2 (an exact dot-product sign test, with
     adaptive midpoint subdivision) and checking that no boundary value
-    vanishes. `precision` is accepted for interface parity and unused: the
-    arithmetic is exact.
+    vanishes.
 
     Raises UncertifiableError when the boundary passes too close to a zero
     for the subdivision budget, or exactly through one.
@@ -755,8 +717,25 @@ class BinomialCfResult:
     series: tuple[Poly, ...] = ()  # y-coefficients as polynomials in t
 
 
-def _t_poly(*coeffs) -> Poly:
-    return Poly(list(coeffs))
+def _series_cf(levels, order: int) -> PowerSeries:
+    """Bottom-up expansion, through y^order, of the continued fraction
+
+        num_1 y^e_1 / (den_1(y) - num_2 y^e_2 / (den_2(y) - ...))
+
+    given as levels (den_coeffs, num, e) listed from the top. Coefficients
+    are polynomials in a second variable."""
+    acc = None
+    for den_coeffs, num, shift in reversed(levels):
+        den = PowerSeries(den_coeffs, order)
+        if acc is not None:
+            den = den - acc
+        acc = (den.inverse() * num).shift(shift).truncate(order)
+    return acc
+
+
+def _two_minus_y(k: int) -> list[Poly]:
+    """(2k+1)(2-y), the denominator shared by both continued fractions."""
+    return [Poly([2 * (2 * k + 1)]), Poly([-(2 * k + 1)])]
 
 
 def binomial_cf_check(order: int) -> BinomialCfResult:
@@ -773,19 +752,12 @@ def binomial_cf_check(order: int) -> BinomialCfResult:
     if order < 4:
         raise ValueError("order must be >= 4")
     N = order
-    L = order // 2 + 2
-    acc = None
-    for k in range(L, 0, -1):
-        den = PowerSeries(
-            [_t_poly(2 * (2 * k + 1)), _t_poly(-(2 * k + 1))], N
-        )
-        if acc is not None:
-            den = den - acc
-        inv = den.inverse()
-        num = _t_poly(k * k, 0, -1)  # k^2 - t^2
-        acc = (inv * num).shift(2).truncate(N)
-    top = PowerSeries([_t_poly(2), _t_poly(-1, 1)], N) - acc  # 2 - y + t y - tail
-    cf = (top.inverse() * _t_poly(-2)).shift(1).truncate(N)
+    top = ([Poly([2]), Poly([-1, 1])], Poly([-2]), 1)  # -2y / (2 - y + t y - ...)
+    cf = _series_cf(
+        [top] + [(_two_minus_y(k), Poly([k * k, 0, -1]), 2)  # k^2 - t^2
+                 for k in range(1, order // 2 + 3)],
+        N,
+    )
 
     series = tuple(
         c if isinstance(c, Poly) else Poly([c]) for c in cf.coeffs
@@ -814,21 +786,12 @@ def _positivity_cf_series(m_max: int, order: int) -> PowerSeries:
     """The z-form continued fraction  z y / (3(2-y) - (3+z) y^2 / (5(2-y) - ...)),
     expanded with floor(m_max/2)+1 levels as a series in y with z-polynomial
     coefficients."""
-    L = m_max // 2 + 1
-    acc = None
-    for k in range(L, 0, -1):
-        den = PowerSeries([Poly([2 * (2 * k + 1)]), Poly([-(2 * k + 1)])], order)
-        if acc is not None:
-            den = den - acc
-        inv = den.inverse()
-        if k == 1:
-            num = Poly([0, 1])  # z
-            shift = 1
-        else:
-            num = Poly([k * k - 1, 1])  # (k^2 - 1) + z
-            shift = 2
-        acc = (inv * num).shift(shift).truncate(order)
-    return acc
+    top = (_two_minus_y(1), Poly([0, 1]), 1)  # z y / (3(2-y) - ...)
+    return _series_cf(
+        [top] + [(_two_minus_y(k), Poly([k * k - 1, 1]), 2)  # (k^2 - 1) + z
+                 for k in range(2, m_max // 2 + 2)],
+        order,
+    )
 
 
 def positivity_truncation_check(m_max: int) -> PositivityResult:
@@ -978,21 +941,14 @@ def convergence_probe(s_points, m_list, precision: int = 256,
             ref = zeta_reference(s, precision).value
             rows = []
             for m in m_list:
-                fv = _pf_mp_value(build_f(m, bern), z)
-                gv = _pf_mp_value(build_g(m), z)
+                fv = _pf_value_at_prec(build_f(m, bern), z, precision + 20)
+                gv = _pf_value_at_prec(build_g(m), z, precision + 20)
                 ratio = fv / ((z - 1) * gv)
                 err = abs(ratio - ref)
                 rows.append(ConvergenceRow(m, float(err), mp.nstr(err, 30)))
             dec = all(rows[i].error > rows[i + 1].error for i in range(len(rows) - 1))
             pts.append(ConvergencePoint(mp.nstr(z, 20), mp.nstr(ref, 30), tuple(rows), dec))
     return ConvergenceProbe(precision, tuple(pts))
-
-
-def _pf_mp_value(pf, z: mp.mpc) -> mp.mpc:
-    acc = mp.mpc(0)
-    for p, r in pf.terms:
-        acc += mp.mpf(r.numerator) / r.denominator / (z - p)
-    return acc
 
 
 def seeded_strip_points(seed: int, count: int, denom: int = 64) -> list[QComplex]:

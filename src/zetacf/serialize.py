@@ -11,6 +11,7 @@ import csv
 import decimal
 import io
 import json
+import re
 from fractions import Fraction
 
 SCHEMA = "zetacf/v1"
@@ -34,13 +35,30 @@ __all__ = [
 ]
 
 
+def _int_str(n: int) -> str:
+    """Decimal digits of n. Unlike str(n), not capped by the interpreter's
+    int-to-str digit limit (4300 digits by default), which exact report
+    values exceed at large m."""
+    return str(decimal.Decimal(n))
+
+
+_INT_LITERAL = re.compile(r"\s*[+-]?[0-9]+\s*")
+
+
+def _parse_int(text: str) -> int:
+    """Inverse of _int_str: a decimal integer literal of any length."""
+    if not _INT_LITERAL.fullmatch(text):
+        raise ValueError(f"invalid integer literal: {text!r}")
+    return int(decimal.Decimal(text))
+
+
 def frac_str(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
+    return f"{_int_str(q.numerator)}/{_int_str(q.denominator)}"
 
 
 def parse_frac(s: str) -> Fraction:
     num, _, den = s.partition("/")
-    return Fraction(int(num), int(den) if den else 1)
+    return Fraction(_parse_int(num), _parse_int(den) if den else 1)
 
 
 def decimal30(q: Fraction) -> str:
@@ -216,5 +234,5 @@ def dump_csv(columns, rows, header_lines=()) -> str:
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(columns)
     for r in rows:
-        w.writerow(r)
+        w.writerow([_int_str(c) if type(c) is int else c for c in r])
     return buf.getvalue()

@@ -59,10 +59,6 @@ class Poly:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def constant(cls, c) -> "Poly":
-        return cls([c])
-
-    @classmethod
     def x(cls) -> "Poly":
         return cls([0, 1])
 
@@ -147,18 +143,6 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             return self * (Fraction(1) / other)
         return NotImplemented
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative polynomial powers are not defined here")
-        out = Poly([1])
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     # -- evaluation and calculus -------------------------------------------
 
@@ -245,13 +229,6 @@ class PowerSeries:
         return cls([_as_coeff(c)] + [z] * order, order)
 
     @classmethod
-    def identity(cls, order: int) -> "PowerSeries":
-        """The series x."""
-        if order < 1:
-            raise ValueError("identity needs order >= 1")
-        return cls([Fraction(0), Fraction(1)], order)
-
-    @classmethod
     def geometric(cls, order: int) -> "PowerSeries":
         """1/(1-x) = sum x^n."""
         return cls([Fraction(1)] * (order + 1), order)
@@ -260,10 +237,6 @@ class PowerSeries:
     def neg_log1m(cls, order: int) -> "PowerSeries":
         """-log(1-x) = sum x^n / n, obtained by integrating 1/(1-x)."""
         return cls.geometric(order - 1).integral() if order >= 1 else cls.constant(0, 0)
-
-    @classmethod
-    def from_poly(cls, p: Poly, order: int) -> "PowerSeries":
-        return cls(list(p.coeffs), order)
 
     # -- helpers -------------------------------------------------------------
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -139,6 +140,20 @@ class TestScan:
         doc = json.loads(out.read_text())
         assert doc["points"][0]["strictly_decreasing"] is True
 
+    def test_worpitzky_1000_report_pinned(self, capsys):
+        # integers in this report run past the interpreter's 4300-digit
+        # int-to-str limit; the bytes are pinned so later changes to the
+        # element test must reproduce them exactly
+        args = ["scan", "worpitzky", "1000", "--grid", "3x3", "--no-band"]
+        assert cli.main(args) == 0
+        report = capsys.readouterr().out.encode()
+        assert hashlib.sha256(report).hexdigest() == (
+            "3d593a321a7d5de2aa300d6627bf203bc9d753cb3e648c22f21caf5d55539d1c")
+        assert cli.main([*args, "--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = [l for l in lines if not l.startswith("#")][1:]
+        assert len(rows) == 9 and all(r.endswith(",1") for r in rows)
+
     def test_monotonicity_range(self, tmp_path):
         out = tmp_path / "m.json"
         code = cli.main(["--out", str(out), "scan", "monotonicity", "2..20"])
@@ -209,4 +224,24 @@ class TestUsageErrors:
     def test_low_precision_rejected(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["--precision", "10", "coeffs", "3", "--kind", "a"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("text", [
+        '{"precision": 128',        # not JSON
+        '[128]',                    # not an object
+        '{"precision": "high"}',
+        '{"seed": 1.5}',
+        '{"jobs": true}',
+        '{"jobs": 0}',
+    ])
+    def test_bad_config_file_rejected(self, text, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("zetacf.json").write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--out", str(tmp_path / "x.json"), "coeffs", "2", "--kind", "a"])
+        assert exc.value.code == 2
+
+    def test_nonpositive_jobs_rejected(self):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["scan", "worpitzky", "10", "--grid", "3x3", "--jobs", "0"])
         assert exc.value.code == 2

@@ -80,6 +80,12 @@ class TestWorpitzkyMargin:
         r2 = worpitzky_margin(12, QComplex(F(1, 2), F(3, 4)))
         assert r1.margin_sq == r2.margin_sq
 
+    def test_mpmath_input_is_exact(self):
+        assert QComplex.from_value(mp.mpc("0.5", "0.25")) == QComplex(F(1, 2), F(1, 4))
+        r1 = worpitzky_margin(12, mp.mpc(0.5, 0.75))
+        r2 = worpitzky_margin(12, QComplex(F(1, 2), F(3, 4)))
+        assert r1 == r2
+
     def test_k_range_validation(self):
         with pytest.raises(ValueError):
             worpitzky_margin(10, QComplex(F(1, 2), F(0)), k_range=(0, 3))

@@ -1,5 +1,7 @@
 from fractions import Fraction as F
 
+import pytest
+
 from zetacf.approx_eval import build_g, euler_cf, g_expansion
 from zetacf.coeff_core import coeff_table
 from zetacf.serialize import (
@@ -20,6 +22,17 @@ def test_frac_roundtrip():
     for q in (F(0), F(1), F(-11, 6), F(7381, 2520)):
         assert parse_frac(frac_str(q)) == q
     assert parse_frac("5") == F(5)
+
+
+def test_frac_roundtrip_beyond_int_str_limit():
+    # exact report values at large m run past the interpreter's default
+    # 4300-digit int-to-str limit
+    q = F(10**9999 + 7, 2**40)
+    text = frac_str(-q)
+    assert text == "-1" + "0" * 9998 + "7/1099511627776"
+    assert parse_frac(text) == -q
+    with pytest.raises(ValueError):
+        parse_frac("1.5/2")
 
 
 def test_decimal30():

@@ -31,10 +31,6 @@ class TestPoly:
         assert p - 1 == Poly([0, 2])
         assert (p / 2)(F(1)) == F(3, 2)
 
-    def test_pow(self):
-        assert Poly([1, 1]) ** 3 == Poly([1, 3, 3, 1])
-        assert Poly([0, 1]) ** 0 == Poly([1])
-
     def test_primitive_content(self):
         c, prim = Poly([F(11, 12), F(10, 12), F(3, 12)]).primitive()
         assert c == F(1, 12)
