@@ -2,9 +2,10 @@
 """Strip scans and the numerical experiments.
 
 Exercises the element test over rational grids (exact verdicts via squared
-moduli), the empirical t-band search, the certified winding-number zero
-scan, the ratio-monotonicity experiment, and the convergence probe against
-the independent accelerated-series reference.
+moduli: a float filter with a derived error bound settles the clear cases,
+exact integers every close one), the empirical t-band search, the certified
+winding-number zero scan, the ratio-monotonicity experiment, and the
+convergence probe against the independent accelerated-series reference.
 
 Run:  python demos/strip_scan.py      (about half a minute)
 """

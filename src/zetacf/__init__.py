@@ -13,7 +13,9 @@ The package is organized in four layers:
 * `region_analysis`  strip scans of the element test, ratio-bound checks,
                  certified winding-number zero scans, the monotonicity and
                  positivity experiments, and the convergence probe against an
-                 independent reference.
+                 independent reference. Its element test settles clear
+                 cases with the double-precision filter of `float_filter`,
+                 whose error bounds are derived there.
 * `cli`          a batch front end with deterministic machine-readable output.
 """
 

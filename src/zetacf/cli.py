@@ -318,6 +318,8 @@ def _cmd_scan_worpitzky(args, cfg: RunConfig, argv: list[str], parser) -> int:
     grid = default_strip_grid(m, n_sigma, n_t, t_max)
     report = prop1_scan(m, grid, bisect_band=not args.no_band, jobs=cfg.jobs,
                         progress=_progress if sys.stderr.isatty() else None)
+    sys.stderr.write(f"scan worpitzky: {len(report.points)} points, {report.k_levels} "
+                     f"k-levels, {report.exact_fallbacks} exact fallbacks\n")
     payload = worpitzky_payload(report)
     cols = ("sigma_num", "sigma_den", "t_num", "t_den",
             "margin_sq_num", "margin_sq_den", "pass")

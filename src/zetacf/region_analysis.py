@@ -5,9 +5,13 @@ v_k = (k+1) a_k / ((k+s) a_{k-1}), every level of the reciprocal continued
 fraction is safe when |(v_k+1)(1+1/v_{k+1})| >= 4. At rational s = sn/sd +
 i tn/td the squared modulus of that expression is rational, so the test
 reduces to exact integer comparisons; no tolerance enters any verdict in
-this module's scans. Floating point appears only in reported margin values
-(a final square root) and in the convergence probe, whose reference is an
-independently computed accelerated alternating series.
+this module's scans. A double-precision filter with a derived error bound
+settles each level whose squared modulus is clearly above or below 16, and
+the exact integer comparison settles every level it cannot; the argmin and
+the squared margin always come from exact integers. Otherwise floating
+point appears only in reported margin values (with a derived error bound)
+and in the convergence probe, whose reference is an independently computed
+accelerated alternating series.
 """
 
 from __future__ import annotations
@@ -31,6 +35,16 @@ from .coeff_core import (
     stirling_rows,
 )
 from .errors import ReferenceAccuracyError, UncertifiableError
+from .float_filter import (
+    FAIL_BELOW,
+    PASS_AT,
+    WINDOW_UNDER_HALF,
+    filter_values,
+    int_ratio_float,
+    margin_error_bound,
+    normal_ratio,
+    ratio_window,
+)
 from .qcomplex import QComplex, _frac
 from .series import Poly, PowerSeries
 
@@ -128,12 +142,12 @@ def half_sqrt_log_lower(m: int, denom_bits: int = 16) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# the element test, exact at rational points
+# the element test: a float filter, exact integers for every close call
 # ---------------------------------------------------------------------------
 
 
 class _MarginContext:
-    """Per-m integer tables for the element test.
+    """Per-m tables for the element test.
 
     With S the integer row m! a_{m-1,.}, the test at s = sn/sd + i tn/td is
 
@@ -142,7 +156,10 @@ class _MarginContext:
     where P_k = (k+1) S_k, Q_k = S_{k-1},
     R_k = sd P_k + (k sd + sn) Q_k,  N_k = R_k^2 td^2 + tn^2 sd^2 Q_k^2,
     and W_k = (k sd + sn)^2 td^2 + tn^2 sd^2. All quantities are integers,
-    so every comparison is exact.
+    so every comparison is exact; only the k the float filter cannot decide,
+    and the argmin candidates, ever compute them. The filter reads
+    r_k = P_k / Q_k, rounded once to the nearest double (NaN where that is
+    not a normal double, which sends those k to the exact test).
     """
 
     def __init__(self, m: int):
@@ -150,31 +167,29 @@ class _MarginContext:
             raise ValueError("the element test needs m >= 3 (k range 1..m-2)")
         self.m = m
         S = _stirling_row(m - 1)
-        self.P = [0] * m  # P[k], valid for k = 1..m-1
-        self.Q = [0] * m
-        self.Q2 = [0] * m
-        for k in range(1, m):
-            self.P[k] = (k + 1) * S[k]
-            self.Q[k] = S[k - 1]
-            self.Q2[k] = self.Q[k] * self.Q[k]
-        self.PQ2 = [0] * (m - 1)  # (Q_k P_{k+1})^2, valid for k = 1..m-2
-        for k in range(1, m - 1):
-            t = self.Q[k] * self.P[k + 1]
-            self.PQ2[k] = t * t
+        self.P = [0] + [(k + 1) * S[k] for k in range(1, m)]  # P[k], k = 1..m-1
+        self.Q = [0] + S[:m - 1]  # Q[k] = S[k-1]
+        self.r = [math.nan] + [normal_ratio(p, q) for p, q in zip(self.P[1:], self.Q[1:])]
+        self._gcd: dict[int, int] = {}  # gcd(P_j, Q_j), filled on demand
+
+    def exact_sq(self, k: int, num: int, den: int) -> Fraction:
+        """num/den, the exact pair of level k, in lowest terms.
+
+        g_j = gcd(P_j, Q_j) divides R_j and Q_j, so g_j^2 divides N_j; hence
+        (g_k g_{k+1})^2 divides num and den, and cancelling it first leaves
+        Fraction's gcd far smaller integers."""
+        if k < 1:  # no level won the argmin: the (1, 1) placeholder
+            return Fraction(num, den)
+        for j in (k, k + 1):
+            if j not in self._gcd:
+                self._gcd[j] = math.gcd(self.P[j], self.Q[j])
+        c = (self._gcd[k] * self._gcd[k + 1]) ** 2
+        return Fraction(num // c, den // c)
 
 
 @functools.lru_cache(maxsize=4)
 def _margin_context(m: int) -> _MarginContext:
     return _MarginContext(m)
-
-
-def _int_ratio_float(a: int, b: int) -> float:
-    """a/b as a float for positive ints of any size (reporting only)."""
-    sh = max(a.bit_length(), b.bit_length()) - 53
-    if sh > 0:
-        a >>= sh
-        b >>= sh
-    return a / b if b else math.inf
 
 
 @dataclass(frozen=True)
@@ -190,6 +205,7 @@ class MarginResult:
     passed: bool
     pole_adjacent: tuple[int, ...]
     float_error_bound: float
+    exact_fallbacks: int  # k-levels the filter left to the exact test
 
 
 def _rationalize_point(s) -> tuple[Fraction, Fraction]:
@@ -201,72 +217,105 @@ def _rationalize_point(s) -> tuple[Fraction, Fraction]:
 
 def _point_margin(ctx: _MarginContext, sigma: Fraction, t: Fraction,
                   k_lo: int, k_hi: int, want_min: bool = True):
-    """Exact per-point element test over k in [k_lo, k_hi].
+    """Element test at one point over k in [k_lo, k_hi].
 
-    Returns (all_pass, argmin_k, min_ratio_float, lhs, den, pole_adjacent)
-    where lhs/den is |E_{argmin}|^2 as an exact integer pair. When want_min
-    is False, stops early at the first failing k and reports that k instead.
+    Each k is decided by its filtered q_hat_k when |q_hat_k - 16| clears the
+    filter bound, and otherwise by the exact integer comparison (an exact
+    fallback). The argmin is taken from exact pairs, over every k whose
+    int_ratio_float value can still be the least, by that value with the
+    first index winning ties, so it matches a loop over all k.
+
+    Returns (all_pass, argmin_k, min_ratio_float, num, den, pole_adjacent,
+    exact_fallbacks) where num/den is |E_{argmin}|^2 as an exact integer
+    pair. When want_min is False, stops at the first failing k and reports
+    that k instead.
     """
     sn, sd = sigma.numerator, sigma.denominator
     tn, td = t.numerator, t.denominator
     sd2td2 = sd * sd * td * td
     td2 = td * td
     tnsd2 = (tn * sd) ** 2
-    P, Q, Q2, PQ2 = ctx.P, ctx.Q, ctx.Q2, ctx.PQ2
+    P, Q = ctx.P, ctx.Q
 
     def N_of(k: int) -> int:
         R = sd * P[k] + (k * sd + sn) * Q[k]
-        return R * R * td2 + tnsd2 * Q2[k]
+        return R * R * td2 + tnsd2 * Q[k] * Q[k]
 
-    all_pass = True
-    best_k = -1
-    best_ratio = math.inf
-    best_pair = (1, 1)
-    poles = []
-    N_next = N_of(k_lo)
-    for k in range(k_lo, k_hi + 1):
-        N_k = N_next
-        N_next = N_of(k + 1)
-        W = (k * sd + sn) ** 2 * td2 + tnsd2
+    def W_of(k: int) -> int:
+        return (k * sd + sn) ** 2 * td2 + tnsd2
+
+    def pair(k: int) -> tuple[int, int]:
+        return 16 * N_of(k) * N_of(k + 1), 16 * sd2td2 * W_of(k) * (Q[k] * P[k + 1]) ** 2
+
+    poles = ()
+    k = round(-sigma)  # the only k that can lie within 2^-20 of -s
+    if k_lo <= k <= k_hi:
+        W = W_of(k)
         if W == 0:
             raise ValueError(f"s coincides with the pole at k={k}")
         if W * (1 << 40) < sd2td2:  # |k+s|^2 < 2^-40
-            poles.append(k)
-        lhs = N_k * N_next
-        den = 16 * sd2td2 * W * PQ2[k]
-        if lhs < den:
+            poles = (k,)
+
+    q = filter_values(ctx.r, sigma, t, k_lo, k_hi)
+    exact: dict[int, tuple[int, int]] = {}
+    all_pass = True
+    for k, q_hat in enumerate(q, k_lo):
+        if PASS_AT <= q_hat < math.inf:
+            continue
+        if q_hat < FAIL_BELOW:
+            failed = True
+        else:
+            exact[k] = pair(k)
+            failed = exact[k][0] < 16 * exact[k][1]
+        if failed:
             all_pass = False
             if not want_min:
-                return False, k, _int_ratio_float(16 * lhs, den), 16 * lhs, den, tuple(poles)
-        ratio = _int_ratio_float(16 * lhs, den)  # |E_k|^2 approx
-        if ratio < best_ratio:
-            best_ratio = ratio
-            best_k = k
-            best_pair = (16 * lhs, den)
-    return all_pass, best_k, best_ratio, best_pair[0], best_pair[1], tuple(poles)
+                num, den = exact.get(k) or pair(k)
+                return False, k, int_ratio_float(num, den), num, den, poles, len(exact)
+
+    # Each k's int_ratio_float value is known or lies in
+    # [q_hat (1 - w), q_hat (1 + w)], w = ratio_window(q_hat). The upper end
+    # grows with q_hat, so the least finite q_hat gives the least one: `cut`.
+    # The argmin is among the k whose value can be <= cut.
+    ratio = {k: int_ratio_float(*p) for k, p in exact.items()}
+    q_min = min((q_hat for q_hat in q if q_hat < math.inf), default=math.inf)
+    cut = min([*ratio.values(), q_min * (1 + ratio_window(q_min))])
+    candidates = [k for k, r in ratio.items() if r <= cut] + [
+        k for k, q_hat in enumerate(q, k_lo)
+        if (q_hat <= 2 * cut or q_hat > WINDOW_UNDER_HALF)  # else q_hat (1 - w) > cut
+        and k not in ratio and q_hat * (1 - ratio_window(q_hat)) <= cut]
+    best_k, best_ratio, best_pair = -1, math.inf, (1, 1)
+    for k in sorted(candidates):
+        p = exact.get(k) or pair(k)
+        r = int_ratio_float(*p)
+        if r < best_ratio:
+            best_k, best_ratio, best_pair = k, r, p
+    return all_pass, best_k, best_ratio, best_pair[0], best_pair[1], poles, len(exact)
 
 
 def worpitzky_margin(m: int, s, k_range: tuple[int, int] | None = None) -> MarginResult:
     """Minimum over k of |(v_k+1)(1+1/v_{k+1})| - 4 at s, with an exact verdict.
 
     Any dyadic or rational s is converted exactly, so the pass/fail decision
-    and the reported squared margin are exact; the float margin only incurs
-    the final square-root rounding (bounded in `float_error_bound`).
+    and the reported squared margin are exact. The float margin comes from
+    the exact pair through `int_ratio_float` and a square root;
+    `float_error_bound` bounds its distance from sqrt(margin_sq + 16) - 4.
     """
     ctx = _margin_context(m)
     sigma, t = _rationalize_point(s)
     k_lo, k_hi = k_range if k_range is not None else (1, m - 2)
     if not (1 <= k_lo <= k_hi <= m - 2):
         raise ValueError(f"k range must lie in [1, {m - 2}]")
-    all_pass, k_min, ratio, lhs, den, poles = _point_margin(ctx, sigma, t, k_lo, k_hi)
+    all_pass, k_min, ratio, num, den, poles, fallbacks = _point_margin(ctx, sigma, t, k_lo, k_hi)
     margin = math.sqrt(max(ratio, 0.0)) - 4.0
-    margin_sq = Fraction(lhs, den) - 16
+    q = ctx.exact_sq(k_min, num, den)
     return MarginResult(
         m=m, sigma=sigma, t=t, k_lo=k_lo, k_hi=k_hi,
-        margin=margin, margin_sq=margin_sq, argmin_k=k_min,
-        passed=margin_sq >= 0 if all_pass else False,
+        margin=margin, margin_sq=q - 16, argmin_k=k_min,
+        passed=q >= 16 if all_pass else False,
         pole_adjacent=poles,
-        float_error_bound=1e-12 * (abs(margin) + 8.0),
+        float_error_bound=margin_error_bound(q, num, den, ratio, margin),
+        exact_fallbacks=fallbacks,
     )
 
 
@@ -293,6 +342,8 @@ class WorpitzkyReport:
     t_guaranteed: Fraction
     t_empirical: Fraction | None
     t_resolution: Fraction | None
+    k_levels: int  # k-levels tested, band search included
+    exact_fallbacks: int  # of those, the ones the exact test decided
 
 
 def default_strip_grid(m: int, n_sigma: int = 41, n_t: int = 41,
@@ -307,7 +358,7 @@ def default_strip_grid(m: int, n_sigma: int = 41, n_t: int = 41,
 def prop1_scan(m: int, grid: RegionGrid | None = None,
                bisect_band: bool = True, jobs: int = 1,
                progress=None) -> WorpitzkyReport:
-    """Full exact element-test scan of a strip grid.
+    """Element-test scan of a strip grid, every verdict exact.
 
     Margins at (sigma, -t) and (sigma, t) coincide (t enters all formulas
     squared), so only distinct |t| values are evaluated and results are
@@ -334,8 +385,10 @@ def prop1_scan(m: int, grid: RegionGrid | None = None,
             results.append(_scan_single(ctx, sig, t, k_lo, k_hi))
             if progress is not None and (i + 1) % 64 == 0:
                 progress(i + 1, len(work))
-    for (sig, t), pm in zip(work, results):
+    fallbacks = 0
+    for (sig, t), (pm, n_exact) in zip(work, results):
         cache[(sig, t)] = pm
+        fallbacks += n_exact
 
     points = []
     for sig in sigmas:
@@ -351,8 +404,10 @@ def prop1_scan(m: int, grid: RegionGrid | None = None,
     band_pass = all(p.passed for p in points if abs(p.t) <= T)
 
     t_emp = t_res = None
+    probes = 0
     if bisect_band:
-        t_emp, t_res = _empirical_t_band(ctx, T, k_lo, k_hi)
+        t_emp, t_res, probes, band_fallbacks = _empirical_t_band(ctx, T, k_lo, k_hi)
+        fallbacks += band_fallbacks
 
     return WorpitzkyReport(
         m=m, grid=grid, points=tuple(points),
@@ -364,19 +419,23 @@ def prop1_scan(m: int, grid: RegionGrid | None = None,
         t_guaranteed=T,
         t_empirical=t_emp,
         t_resolution=t_res,
+        k_levels=(len(work) + probes) * (k_hi - k_lo + 1),
+        exact_fallbacks=fallbacks,
     )
 
 
 def _scan_single(ctx: _MarginContext, sigma: Fraction, t: Fraction,
-                 k_lo: int, k_hi: int) -> PointMargin:
-    all_pass, k_min, ratio, lhs, den, _ = _point_margin(ctx, sigma, t, k_lo, k_hi)
-    return PointMargin(
+                 k_lo: int, k_hi: int) -> tuple[PointMargin, int]:
+    """One grid point and its count of exact fallbacks."""
+    all_pass, k_min, ratio, num, den, _, fallbacks = _point_margin(ctx, sigma, t, k_lo, k_hi)
+    pm = PointMargin(
         sigma=sigma, t=t,
         margin=math.sqrt(max(ratio, 0.0)) - 4.0,
-        margin_sq=Fraction(lhs, den) - 16,
+        margin_sq=ctx.exact_sq(k_min, num, den) - 16,
         argmin_k=k_min,
-        passed=all_pass and Fraction(lhs, den) >= 16,
+        passed=all_pass and num >= 16 * den,
     )
+    return pm, fallbacks
 
 
 _WORKER_CTX: dict = {}
@@ -399,41 +458,47 @@ def _parallel_points(m, work, k_lo, k_hi, jobs):
                         chunksize=max(1, len(work) // (8 * jobs)))
 
 
-def _point_passes(ctx, sigma, t, k_lo, k_hi) -> bool:
-    ok, *_ = _point_margin(ctx, sigma, t, k_lo, k_hi, want_min=False)
-    return ok
-
-
-def _empirical_t_band(ctx, T: Fraction, k_lo: int, k_hi: int,
-                      steps: int = 20) -> tuple[Fraction, Fraction | None]:
+def _empirical_t_band(ctx, T: Fraction, k_lo: int, k_hi: int, steps: int = 20
+                      ) -> tuple[Fraction, Fraction | None, int, int]:
     """Largest verified |t| at sigma = 1/2: step up from the guaranteed bound
     to bracket the first failure, then bisect. The condition holds again for
     very large |t|, so the upward search uses fixed steps rather than
-    doubling (a doubling search could leap over the failing band)."""
+    doubling (a doubling search could leap over the failing band).
+
+    Returns (t_empirical, t_resolution, points tested, exact fallbacks)."""
     half = Fraction(1, 2)
-    if not _point_passes(ctx, half, T, k_lo, k_hi):
+    probes = fallbacks = 0
+
+    def passes(t: Fraction) -> bool:
+        nonlocal probes, fallbacks
+        ok, *_, n_exact = _point_margin(ctx, half, t, k_lo, k_hi, want_min=False)
+        probes += 1
+        fallbacks += n_exact
+        return ok
+
+    if not passes(T):
         # cannot happen inside the proven region; report degenerate band
-        return Fraction(0), None
+        return Fraction(0), None, probes, fallbacks
     step = T / 8 if T > 0 else Fraction(1, 8)
     t_lo = T
     t_hi = None
     t = T
     for _ in range(64):
         t = t + step
-        if _point_passes(ctx, half, t, k_lo, k_hi):
+        if passes(t):
             t_lo = t
         else:
             t_hi = t
             break
     if t_hi is None:
-        return t_lo, None
+        return t_lo, None, probes, fallbacks
     for _ in range(steps):
         mid = (t_lo + t_hi) / 2
-        if _point_passes(ctx, half, mid, k_lo, k_hi):
+        if passes(mid):
             t_lo = mid
         else:
             t_hi = mid
-    return t_lo, t_hi - t_lo
+    return t_lo, t_hi - t_lo, probes, fallbacks
 
 
 def real_line_margin_check(m_max: int, sigmas=(Fraction(1, 2),)) -> tuple[int, Fraction, int] | None:
@@ -547,7 +612,7 @@ def _fraction_sqrt_float(q: Fraction) -> float:
         return 0.0
     e = n.bit_length() - d.bit_length()
     e -= e % 2
-    r = _int_ratio_float(n, d << e) if e >= 0 else _int_ratio_float(n << (-e), d)
+    r = int_ratio_float(n, d << e) if e >= 0 else int_ratio_float(n << (-e), d)
     try:
         return math.ldexp(math.sqrt(r), e // 2)
     except OverflowError:

@@ -89,7 +89,7 @@ class TestVerify:
 
 
 class TestScan:
-    def test_worpitzky_small(self, tmp_path):
+    def test_worpitzky_small(self, tmp_path, capsys):
         out = tmp_path / "w.json"
         code = cli.main(["--out", str(out), "scan", "worpitzky", "12",
                          "--grid", "7x7", "--no-band"])
@@ -97,6 +97,11 @@ class TestScan:
         doc = json.loads(out.read_text())
         assert doc["all_pass"] is True
         assert len(doc["points"]) == 49
+        # run statistics go to stderr (not a TTY here), never into the report;
+        # 7 sigmas x 4 distinct |t| points, 10 levels each
+        err = capsys.readouterr().err
+        assert "scan worpitzky: 49 points, 280 k-levels, 0 exact fallbacks\n" in err
+        assert "fallback" not in out.read_text()
 
     def test_worpitzky_csv_schema(self, tmp_path):
         out = tmp_path / "w.csv"

@@ -1,12 +1,15 @@
 import json
+import math
 from fractions import Fraction as F
 from pathlib import Path
 
 import mpmath as mp
 import pytest
 
+from zetacf import float_filter as ff
+from zetacf import region_analysis as ra
 from zetacf.approx_eval import build_f, build_g, numerator_poly
-from zetacf.coeff_core import c_genfunc_oracle
+from zetacf.coeff_core import c_genfunc_oracle, coeff_table
 from zetacf.errors import UncertifiableError
 from zetacf.qcomplex import QComplex
 from zetacf.region_analysis import (
@@ -89,6 +92,146 @@ class TestWorpitzkyMargin:
     def test_k_range_validation(self):
         with pytest.raises(ValueError):
             worpitzky_margin(10, QComplex(F(1, 2), F(0)), k_range=(0, 3))
+
+
+def _oracle_sq(a, sigma, t, k):
+    """|E_k|^2 = |(v_k+1)(1+1/v_{k+1})|^2 in Fractions, from a = a_{m-1,.}."""
+    x = k + sigma
+    first = (((k + 1) * a[k] + x * a[k - 1]) ** 2 + (t * a[k - 1]) ** 2) \
+        / ((x * x + t * t) * a[k - 1] ** 2)
+    second = (((k + 2) * a[k + 1] + (x + 1) * a[k]) ** 2 + (t * a[k]) ** 2) \
+        / ((k + 2) * a[k + 1]) ** 2
+    return first * second
+
+
+def _exact_pairs(ctx, sigma, t, k_lo, k_hi):
+    """(k, num, den) with num/den = |E_k|^2, from the integer tables."""
+    sn, sd = sigma.numerator, sigma.denominator
+    tn, td = t.numerator, t.denominator
+    P, Q = ctx.P, ctx.Q
+
+    def N_of(k):
+        R = sd * P[k] + (k * sd + sn) * Q[k]
+        return R * R * td * td + (tn * sd * Q[k]) ** 2
+
+    for k in range(k_lo, k_hi + 1):
+        W = (k * sd + sn) ** 2 * td * td + (tn * sd) ** 2
+        yield k, 16 * N_of(k) * N_of(k + 1), 16 * (sd * td) ** 2 * W * (Q[k] * P[k + 1]) ** 2
+
+
+def _all_k_margin(ctx, sigma, t, k_lo, k_hi):
+    """The element test as one exact integer loop over every k: the
+    reference for the verdict, the argmin and the bytes of its float ratio."""
+    all_pass, best_k, best_ratio = True, -1, math.inf
+    for k, num, den in _exact_pairs(ctx, sigma, t, k_lo, k_hi):
+        all_pass = all_pass and num >= 16 * den
+        ratio = ff.int_ratio_float(num, den)
+        if ratio < best_ratio:
+            best_k, best_ratio = k, ratio
+    return all_pass, best_k, best_ratio
+
+
+def _refined_bracket(m):
+    """The band bracket of prop1_scan at sigma = 1/2, bisected 40 more times
+    with the exact verdict, until |E_k|^2 - 16 is far below the filter bound."""
+    rep = prop1_scan(m, default_strip_grid(m, 3, 3), bisect_band=True)
+    lo, hi = rep.t_empirical, rep.t_empirical + rep.t_resolution
+    for _ in range(40):
+        mid = (lo + hi) / 2
+        if worpitzky_margin(m, (F(1, 2), mid)).passed:
+            lo = mid
+        else:
+            hi = mid
+    return rep.t_empirical, rep.t_empirical + rep.t_resolution, lo, hi
+
+
+class TestFilteredElementTest:
+    """The float filter with exact fallback against a Fraction oracle."""
+
+    @pytest.mark.parametrize("m", [10, 30, 100])
+    def test_matches_fraction_oracle(self, m):
+        a = coeff_table(m - 1).a
+        ctx = ra._margin_context(m)
+        t_lo, t_hi, t_lo_fine, t_hi_fine = _refined_bracket(m)
+        points = [(p.re, p.im) for p in seeded_strip_points(m, 6)]
+        points += [(F(1, 2), t) for t in (t_lo, t_hi, t_lo_fine, t_hi_fine)]
+        for sigma, t in points:
+            r = worpitzky_margin(m, (sigma, t))
+            q = [_oracle_sq(a, sigma, t, k) for k in range(1, m - 1)]
+            q_min = min(q)
+            assert r.passed == (q_min >= 16)
+            assert r.argmin_k == 1 + q.index(q_min)
+            assert r.margin_sq == q_min - 16
+            all_pass, k_ref, ratio_ref = _all_k_margin(ctx, sigma, t, 1, m - 2)
+            assert (r.passed, r.argmin_k, r.margin) == (all_pass, k_ref, math.sqrt(ratio_ref) - 4)
+            with mp.workprec(200):
+                exact = mp.sqrt(mp.mpf(q_min.numerator) / q_min.denominator) - 4
+                assert abs(mp.mpf(r.margin) - exact) <= r.float_error_bound < 1e-12
+        # floats decide every k at the bracket prop1_scan reports; the exact
+        # test has to decide at the refined one, and never inside the band
+        assert worpitzky_margin(m, (F(1, 2), t_lo_fine)).exact_fallbacks > 0
+        assert worpitzky_margin(m, (F(1, 2), t_hi_fine)).exact_fallbacks > 0
+        T = half_sqrt_log_lower(m)
+        assert worpitzky_margin(m, (F(1, 2), T / 2)).exact_fallbacks == 0
+
+    def test_filter_bound_is_sound(self):
+        m = 60
+        a = coeff_table(m - 1).a
+        ctx = ra._margin_context(m)
+        rel = F(ff.FILTER_REL)
+        for p in seeded_strip_points(2024, 200):
+            q_hat = ff.filter_values(ctx.r, p.re, p.im, 1, m - 2)
+            for k, qh in enumerate(q_hat, 1):
+                assert math.isfinite(qh)
+                assert abs(F(qh) - _oracle_sq(a, p.re, p.im, k)) <= rel * F(qh)
+
+    def test_filter_declines_inputs_outside_its_model(self):
+        ctx = ra._margin_context(12)
+        for sigma, t in ((F(-1, 3), F(1)),  # sigma < 0: terms can cancel
+                         (F(1, 2), F(1, 2 ** 1060)),  # t is subnormal
+                         (F(1, 2), F(10 ** 400))):  # t overflows
+            assert all(math.isnan(q) for q in ff.filter_values(ctx.r, sigma, t, 1, 10))
+            assert ra._point_margin(ctx, sigma, t, 1, 10)[:3] == _all_k_margin(ctx, sigma, t, 1, 10)
+            assert worpitzky_margin(12, (sigma, t)).exact_fallbacks == 10
+
+    def test_argmin_window_holds_ratio(self):
+        # the argmin is searched among the k whose window can reach the least
+        # upper end; each window must hold the k's _int_ratio_float value
+        points = [(m, p.re, p.im) for m in (10, 60) for p in seeded_strip_points(m, 20)]
+        points += _FAR_POINTS
+        for m, sigma, t in points:
+            ctx = ra._margin_context(m)
+            q_hat = ff.filter_values(ctx.r, sigma, t, 1, m - 2)
+            for (k, num, den), qh in zip(_exact_pairs(ctx, sigma, t, 1, m - 2), q_hat):
+                w = ff.ratio_window(qh)
+                assert qh * (1 - w) <= ff.int_ratio_float(num, den) <= qh * (1 + w)
+        # the screen in _point_margin skips windows only below this q_hat
+        assert ff.ratio_window(ff.WINDOW_UNDER_HALF) < 0.5
+
+    def test_scan_counts_fallbacks(self):
+        rep = prop1_scan(30, default_strip_grid(30, 3, 3), bisect_band=True)
+        assert rep.exact_fallbacks == 0
+        assert rep.k_levels > 6 * 28  # six unique grid points plus the band search
+        assert rep.k_levels % 28 == 0
+
+
+# far outside the band few bits of the smaller operand survive the shift in
+# _int_ratio_float: the float margin carries that error, and the argmin by
+# that ratio is not the argmin of the filtered values
+_FAR_POINTS = [(m, sigma, t) for m in (5, 10, 30, 100) for sigma in (F(1, 3), F(1, 2))
+               for t in (F(10 ** 3), F(10 ** 4), F(10 ** 6), F(3 ** 20, 7), F(10 ** 9))]
+
+
+def test_margin_far_out():
+    for m, sigma, t in _FAR_POINTS:
+        ctx = ra._margin_context(m)
+        assert ra._point_margin(ctx, sigma, t, 1, m - 2)[:3] == _all_k_margin(ctx, sigma, t, 1, m - 2)
+        r = worpitzky_margin(m, QComplex(sigma, t))
+        assert math.isfinite(r.float_error_bound) == math.isfinite(r.margin)
+        with mp.workprec(300):
+            q = r.margin_sq + 16
+            exact = mp.sqrt(mp.mpf(q.numerator) / q.denominator) - 4
+            assert abs(mp.mpf(r.margin) - exact) <= r.float_error_bound, (m, sigma, t)
 
 
 class TestProp1Scan:
