@@ -316,7 +316,7 @@ def _cmd_scan_worpitzky(args, cfg: RunConfig, argv: list[str], parser) -> int:
     else:
         t_max = _parse_fraction(args.t_max)
     grid = default_strip_grid(m, n_sigma, n_t, t_max)
-    report = prop1_scan(m, grid, bisect_band=not args.no_band, jobs=cfg.jobs,
+    report = prop1_scan(m, grid, bisect_band=not args.no_band,
                         progress=_progress if sys.stderr.isatty() else None)
     sys.stderr.write(f"scan worpitzky: {len(report.points)} points, {report.k_levels} "
                      f"k-levels, {report.exact_fallbacks} exact fallbacks\n")
@@ -434,7 +434,7 @@ def _add_run_options(parser: argparse.ArgumentParser, trailing: bool) -> None:
     parser.add_argument("--seed", type=int, default=default,
                         help="seed recorded in output headers")
     parser.add_argument("--jobs", type=int, default=default,
-                        help="parallel workers for grid scans")
+                        help="accepted and validated (>= 1); scans run in one process")
 
 
 def build_parser() -> argparse.ArgumentParser:

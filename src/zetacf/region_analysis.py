@@ -8,7 +8,9 @@ reduces to exact integer comparisons; no tolerance enters any verdict in
 this module's scans. A double-precision filter with a derived error bound
 settles each level whose squared modulus is clearly above or below 16, and
 the exact integer comparison settles every level it cannot; the argmin and
-the squared margin always come from exact integers. Otherwise floating
+the squared margin always come from exact integers. One routine runs that
+test for single points, strip scans, the band search and the real-line
+sweep, all in one process. Otherwise floating
 point appears only in reported margin values (with a derived error bound)
 and in the convergence probe, whose reference is an independently computed
 accelerated alternating series.
@@ -147,9 +149,8 @@ def half_sqrt_log_lower(m: int, denom_bits: int = 16) -> Fraction:
 
 
 class _MarginContext:
-    """Per-m tables for the element test.
-
-    With S the integer row m! a_{m-1,.}, the test at s = sn/sd + i tn/td is
+    """Per-m tables for the element test, from the integer row
+    S = (m-1)! a_{m-1,.} (m = len(S)). The test at s = sn/sd + i tn/td is
 
         N_k N_{k+1} >= 16 sd^2 td^2 W_k (Q_k P_{k+1})^2
 
@@ -162,11 +163,11 @@ class _MarginContext:
     not a normal double, which sends those k to the exact test).
     """
 
-    def __init__(self, m: int):
+    def __init__(self, S: list[int]):
+        m = len(S)
         if m < 3:
             raise ValueError("the element test needs m >= 3 (k range 1..m-2)")
         self.m = m
-        S = _stirling_row(m - 1)
         self.P = [0] + [(k + 1) * S[k] for k in range(1, m)]  # P[k], k = 1..m-1
         self.Q = [0] + S[:m - 1]  # Q[k] = S[k-1]
         self.r = [math.nan] + [normal_ratio(p, q) for p, q in zip(self.P[1:], self.Q[1:])]
@@ -178,8 +179,6 @@ class _MarginContext:
         g_j = gcd(P_j, Q_j) divides R_j and Q_j, so g_j^2 divides N_j; hence
         (g_k g_{k+1})^2 divides num and den, and cancelling it first leaves
         Fraction's gcd far smaller integers."""
-        if k < 1:  # no level won the argmin: the (1, 1) placeholder
-            return Fraction(num, den)
         for j in (k, k + 1):
             if j not in self._gcd:
                 self._gcd[j] = math.gcd(self.P[j], self.Q[j])
@@ -189,7 +188,7 @@ class _MarginContext:
 
 @functools.lru_cache(maxsize=4)
 def _margin_context(m: int) -> _MarginContext:
-    return _MarginContext(m)
+    return _MarginContext(_stirling_row(m - 1))
 
 
 @dataclass(frozen=True)
@@ -223,12 +222,15 @@ def _point_margin(ctx: _MarginContext, sigma: Fraction, t: Fraction,
     filter bound, and otherwise by the exact integer comparison (an exact
     fallback). The argmin is taken from exact pairs, over every k whose
     int_ratio_float value can still be the least, by that value with the
-    first index winning ties, so it matches a loop over all k.
+    first index winning ties, so it matches a loop over all k. Where that
+    value is inf for every candidate (|E_k|^2 beyond about 2^53), the pairs
+    are compared exactly instead, again with the first index winning ties.
 
     Returns (all_pass, argmin_k, min_ratio_float, num, den, pole_adjacent,
     exact_fallbacks) where num/den is |E_{argmin}|^2 as an exact integer
     pair. When want_min is False, stops at the first failing k and reports
-    that k instead.
+    that k instead; when every k passes it skips the argmin search, and
+    argmin_k, min_ratio_float, num and den are None.
     """
     sn, sd = sigma.numerator, sigma.denominator
     tn, td = t.numerator, t.denominator
@@ -272,6 +274,8 @@ def _point_margin(ctx: _MarginContext, sigma: Fraction, t: Fraction,
             if not want_min:
                 num, den = exact.get(k) or pair(k)
                 return False, k, int_ratio_float(num, den), num, den, poles, len(exact)
+    if not want_min:
+        return True, None, None, None, None, poles, len(exact)
 
     # Each k's int_ratio_float value is known or lies in
     # [q_hat (1 - w), q_hat (1 + w)], w = ratio_window(q_hat). The upper end
@@ -284,11 +288,12 @@ def _point_margin(ctx: _MarginContext, sigma: Fraction, t: Fraction,
         k for k, q_hat in enumerate(q, k_lo)
         if (q_hat <= 2 * cut or q_hat > WINDOW_UNDER_HALF)  # else q_hat (1 - w) > cut
         and k not in ratio and q_hat * (1 - ratio_window(q_hat)) <= cut]
-    best_k, best_ratio, best_pair = -1, math.inf, (1, 1)
+    best_k, best_ratio, best_pair = -1, math.inf, None
     for k in sorted(candidates):
         p = exact.get(k) or pair(k)
         r = int_ratio_float(*p)
-        if r < best_ratio:
+        if r < best_ratio or best_pair is None or (
+                r == best_ratio == math.inf and p[0] * best_pair[1] < best_pair[0] * p[1]):
             best_k, best_ratio, best_pair = k, r, p
     return all_pass, best_k, best_ratio, best_pair[0], best_pair[1], poles, len(exact)
 
@@ -306,17 +311,22 @@ def worpitzky_margin(m: int, s, k_range: tuple[int, int] | None = None) -> Margi
     k_lo, k_hi = k_range if k_range is not None else (1, m - 2)
     if not (1 <= k_lo <= k_hi <= m - 2):
         raise ValueError(f"k range must lie in [1, {m - 2}]")
-    all_pass, k_min, ratio, num, den, poles, fallbacks = _point_margin(ctx, sigma, t, k_lo, k_hi)
-    margin = math.sqrt(max(ratio, 0.0)) - 4.0
-    q = ctx.exact_sq(k_min, num, den)
+    found = _point_margin(ctx, sigma, t, k_lo, k_hi)
+    margin, margin_sq, k_min, passed = _margin_fields(ctx, found)
+    _, _, ratio, num, den, poles, fallbacks = found
     return MarginResult(
         m=m, sigma=sigma, t=t, k_lo=k_lo, k_hi=k_hi,
-        margin=margin, margin_sq=q - 16, argmin_k=k_min,
-        passed=q >= 16 if all_pass else False,
+        margin=margin, margin_sq=margin_sq, argmin_k=k_min, passed=passed,
         pole_adjacent=poles,
-        float_error_bound=margin_error_bound(q, num, den, ratio, margin),
+        float_error_bound=margin_error_bound(margin_sq + 16, num, den, ratio, margin),
         exact_fallbacks=fallbacks,
     )
+
+
+def _margin_fields(ctx: _MarginContext, found) -> tuple[float, Fraction, int, bool]:
+    """(margin, margin_sq, argmin_k, passed) from the tuple of `_point_margin`."""
+    all_pass, k_min, ratio, num, den, *_ = found
+    return math.sqrt(max(ratio, 0.0)) - 4.0, ctx.exact_sq(k_min, num, den) - 16, k_min, all_pass
 
 
 @dataclass(frozen=True)
@@ -356,8 +366,7 @@ def default_strip_grid(m: int, n_sigma: int = 41, n_t: int = 41,
 
 
 def prop1_scan(m: int, grid: RegionGrid | None = None,
-               bisect_band: bool = True, jobs: int = 1,
-               progress=None) -> WorpitzkyReport:
+               bisect_band: bool = True, progress=None) -> WorpitzkyReport:
     """Element-test scan of a strip grid, every verdict exact.
 
     Margins at (sigma, -t) and (sigma, t) coincide (t enters all formulas
@@ -377,18 +386,13 @@ def prop1_scan(m: int, grid: RegionGrid | None = None,
     unique_ts = sorted({abs(t) for t in ts})
     cache: dict[tuple[Fraction, Fraction], PointMargin] = {}
     work = [(sig, t) for sig in sigmas for t in unique_ts]
-    if jobs > 1:
-        results = _parallel_points(m, work, k_lo, k_hi, jobs)
-    else:
-        results = []
-        for i, (sig, t) in enumerate(work):
-            results.append(_scan_single(ctx, sig, t, k_lo, k_hi))
-            if progress is not None and (i + 1) % 64 == 0:
-                progress(i + 1, len(work))
     fallbacks = 0
-    for (sig, t), (pm, n_exact) in zip(work, results):
-        cache[(sig, t)] = pm
-        fallbacks += n_exact
+    for i, (sig, t) in enumerate(work):
+        found = _point_margin(ctx, sig, t, k_lo, k_hi)
+        cache[(sig, t)] = PointMargin(sig, t, *_margin_fields(ctx, found))
+        fallbacks += found[-1]
+        if progress is not None and (i + 1) % 64 == 0:
+            progress(i + 1, len(work))
 
     points = []
     for sig in sigmas:
@@ -422,40 +426,6 @@ def prop1_scan(m: int, grid: RegionGrid | None = None,
         k_levels=(len(work) + probes) * (k_hi - k_lo + 1),
         exact_fallbacks=fallbacks,
     )
-
-
-def _scan_single(ctx: _MarginContext, sigma: Fraction, t: Fraction,
-                 k_lo: int, k_hi: int) -> tuple[PointMargin, int]:
-    """One grid point and its count of exact fallbacks."""
-    all_pass, k_min, ratio, num, den, _, fallbacks = _point_margin(ctx, sigma, t, k_lo, k_hi)
-    pm = PointMargin(
-        sigma=sigma, t=t,
-        margin=math.sqrt(max(ratio, 0.0)) - 4.0,
-        margin_sq=ctx.exact_sq(k_min, num, den) - 16,
-        argmin_k=k_min,
-        passed=all_pass and num >= 16 * den,
-    )
-    return pm, fallbacks
-
-
-_WORKER_CTX: dict = {}
-
-
-def _init_worker(m: int):
-    _WORKER_CTX["ctx"] = _margin_context(m)
-
-
-def _worker_point(args):
-    sigma, t, k_lo, k_hi = args
-    return _scan_single(_WORKER_CTX["ctx"], sigma, t, k_lo, k_hi)
-
-
-def _parallel_points(m, work, k_lo, k_hi, jobs):
-    import multiprocessing as mproc
-
-    with mproc.Pool(processes=jobs, initializer=_init_worker, initargs=(m,)) as pool:
-        return pool.map(_worker_point, [(sig, t, k_lo, k_hi) for sig, t in work],
-                        chunksize=max(1, len(work) // (8 * jobs)))
 
 
 def _empirical_t_band(ctx, T: Fraction, k_lo: int, k_hi: int, steps: int = 20
@@ -503,28 +473,24 @@ def _empirical_t_band(ctx, T: Fraction, k_lo: int, k_hi: int, steps: int = 20
 
 def real_line_margin_check(m_max: int, sigmas=(Fraction(1, 2),)) -> tuple[int, Fraction, int] | None:
     """Exact sweep: at real s = sigma in (0,1) the element test holds for
-    every k and every 3 <= m <= m_max. Returns the first failure or None.
+    every k and every 3 <= m <= m_max. Returns the first failure (m, sigma,
+    k) or None.
 
-    On the real line E_k = (1+v_k)(1+1/v_{k+1}) with positive rationals, so
-    the test is (n_k + d_k)(n_{k+1} + d_{k+1}) >= 4 d_k n_{k+1} in integers.
+    Each m runs the filtered element test at t = 0, with the exact integer
+    comparison for every level the filter cannot decide, over a context
+    built from the streamed row (so the cached strip contexts stay put).
     """
     for sigma in sigmas:
         if not (0 < sigma < 1):
             raise ValueError("sigma must lie in (0, 1)")
-    for m, S in stirling_rows(m_max - 1):
-        if m < 2:
+    for n, S in stirling_rows(m_max - 1):
+        if n < 2:
             continue
-        mm = m + 1  # element test for approximant index mm uses row m = mm-1
+        ctx = _MarginContext(S)  # the element test for m = n + 1 reads row n
         for sigma in sigmas:
-            p, q = sigma.numerator, sigma.denominator
-            n_prev = 2 * q * S[1]
-            d_prev = (q + p) * S[0]
-            for k in range(1, mm - 1):
-                n_next = (k + 2) * q * S[k + 1]
-                d_next = ((k + 1) * q + p) * S[k]
-                if (n_prev + d_prev) * (n_next + d_next) < 4 * d_prev * n_next:
-                    return mm, sigma, k
-                n_prev, d_prev = n_next, d_next
+            ok, k, *_ = _point_margin(ctx, sigma, Fraction(0), 1, ctx.m - 2, want_min=False)
+            if not ok:
+                return ctx.m, sigma, k
     return None
 
 

@@ -103,6 +103,26 @@ class TestScan:
         assert "scan worpitzky: 49 points, 280 k-levels, 0 exact fallbacks\n" in err
         assert "fallback" not in out.read_text()
 
+    def test_jobs_does_not_change_points(self, tmp_path):
+        # --jobs is accepted and validated, and the scan runs in one process
+        points = []
+        for jobs in ("1", "2"):
+            code, out = run_cli(["scan", "worpitzky", "40", "--grid", "7x7", "--no-band",
+                                 "--jobs", jobs], tmp_path, f"j{jobs}.json")
+            assert code == 0
+            points.append(json.loads(out.read_text())["points"])
+        assert len(points[0]) == 49 and points[0] == points[1]
+
+    def test_worpitzky_far_out(self, tmp_path):
+        # |E_k|^2 is beyond 2^53 at every level at t = +-10^9: the argmin is
+        # then picked by exact comparison, and every level passes
+        code, out = run_cli(["scan", "worpitzky", "5", "--grid", "1x3",
+                             "--t-max", "1000000000", "--no-band"], tmp_path)
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert doc["all_pass"] is True
+        assert [p["argmin_k"] for p in doc["points"]] == [1, 2, 1]
+
     def test_worpitzky_csv_schema(self, tmp_path):
         out = tmp_path / "w.csv"
         code = cli.main(["--format", "csv", "--out", str(out), "scan", "worpitzky",

@@ -9,7 +9,7 @@ import pytest
 from zetacf import float_filter as ff
 from zetacf import region_analysis as ra
 from zetacf.approx_eval import build_f, build_g, numerator_poly
-from zetacf.coeff_core import c_genfunc_oracle, coeff_table
+from zetacf.coeff_core import c_genfunc_oracle, coeff_table, stirling_rows
 from zetacf.errors import UncertifiableError
 from zetacf.qcomplex import QComplex
 from zetacf.region_analysis import (
@@ -121,14 +121,19 @@ def _exact_pairs(ctx, sigma, t, k_lo, k_hi):
 
 def _all_k_margin(ctx, sigma, t, k_lo, k_hi):
     """The element test as one exact integer loop over every k: the
-    reference for the verdict, the argmin and the bytes of its float ratio."""
-    all_pass, best_k, best_ratio = True, -1, math.inf
-    for k, num, den in _exact_pairs(ctx, sigma, t, k_lo, k_hi):
-        all_pass = all_pass and num >= 16 * den
-        ratio = ff.int_ratio_float(num, den)
-        if ratio < best_ratio:
-            best_k, best_ratio = k, ratio
-    return all_pass, best_k, best_ratio
+    reference for the verdict, the argmin and the bytes of its float ratio.
+    The argmin is the first k of least int_ratio_float value, or, where that
+    value is inf at every k, the first k of least exact |E_k|^2."""
+    pairs = list(_exact_pairs(ctx, sigma, t, k_lo, k_hi))
+    all_pass = all(num >= 16 * den for _, num, den in pairs)
+    ratios = [ff.int_ratio_float(num, den) for _, num, den in pairs]
+    best_ratio = min(ratios)
+    if best_ratio < math.inf:
+        i = ratios.index(best_ratio)
+    else:
+        exact = [F(num, den) for _, num, den in pairs]
+        i = exact.index(min(exact))
+    return all_pass, pairs[i][0], best_ratio
 
 
 def _refined_bracket(m):
@@ -227,11 +232,24 @@ def test_margin_far_out():
         ctx = ra._margin_context(m)
         assert ra._point_margin(ctx, sigma, t, 1, m - 2)[:3] == _all_k_margin(ctx, sigma, t, 1, m - 2)
         r = worpitzky_margin(m, QComplex(sigma, t))
+        a = coeff_table(m - 1).a
+        q = [_oracle_sq(a, sigma, t, k) for k in range(1, m - 1)]
+        assert (r.argmin_k, r.passed, r.margin_sq) == (1 + q.index(min(q)), min(q) >= 16, min(q) - 16)
         assert math.isfinite(r.float_error_bound) == math.isfinite(r.margin)
         with mp.workprec(300):
             q = r.margin_sq + 16
             exact = mp.sqrt(mp.mpf(q.numerator) / q.denominator) - 4
             assert abs(mp.mpf(r.margin) - exact) <= r.float_error_bound, (m, sigma, t)
+
+
+def test_far_out_argmin_compares_exactly():
+    # on the a-rows the least |E_k|^2 far out is at the first k; this row
+    # puts it at k = 2, where every int_ratio_float value is inf
+    ctx = ra._MarginContext([1, 1, 1, 50, 1, 1, 1])
+    sigma, t = F(1, 2), F(10 ** 12)
+    found = ra._point_margin(ctx, sigma, t, 1, 5)
+    assert found[:3] == _all_k_margin(ctx, sigma, t, 1, 5) == (True, 2, math.inf)
+    assert F(*found[3:5]) == min(F(num, den) for _, num, den in _exact_pairs(ctx, sigma, t, 1, 5))
 
 
 class TestProp1Scan:
@@ -267,13 +285,6 @@ class TestProp1Scan:
         with pytest.raises(ValueError):
             prop1_scan(10, g)
 
-    def test_parallel_matches_serial(self):
-        g = default_strip_grid(40, 7, 7)
-        r1 = prop1_scan(40, g, bisect_band=False, jobs=1)
-        r2 = prop1_scan(40, g, bisect_band=False, jobs=2)
-        assert [(p.sigma, p.t, p.margin_sq) for p in r1.points] == \
-               [(p.sigma, p.t, p.margin_sq) for p in r2.points]
-
     def test_convergent_denominators_nonzero_in_band(self):
         # the conclusion the element test certifies, checked operationally:
         # exact forward-recurrence denominators never vanish inside the band
@@ -295,6 +306,20 @@ class TestRealLineSweep:
 
     def test_every_m_to_1000(self):
         assert real_line_margin_check(1000) is None
+
+    @pytest.mark.parametrize("sigma", [F(0), F(1), F(-1, 2)])
+    def test_sigma_outside_strip_rejected(self, sigma):
+        with pytest.raises(ValueError):
+            real_line_margin_check(10, sigmas=(F(1, 2), sigma))
+
+    def test_streamed_rows_give_the_cached_contexts(self):
+        # the sweep builds each context from the row stirling_rows streams
+        for n, S in stirling_rows(59):
+            if n < 2:
+                continue
+            ctx, ref = ra._MarginContext(S), ra._margin_context(n + 1)
+            assert (ctx.m, ctx.P, ctx.Q, ctx.r[1:]) == (ref.m, ref.P, ref.Q, ref.r[1:])
+            assert math.isnan(ctx.r[0]) and math.isnan(ref.r[0])
 
 
 class TestRatioBounds:
