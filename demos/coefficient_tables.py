@@ -38,7 +38,7 @@ print("a_{m,1} is the harmonic number: a_{5,1} =", coeff_table(5).a[1],
 
 show("Structural facts, checked exactly on the way")
 t = coeff_table(12)
-t.validate(deep=True)  # raises if any identity fails
+t.validate()  # raises if any identity fails
 print("m=12 table validates: a_0=1, a_1=h_12, a_12=1/12!, vanishing at t=1..12")
 ratios = [t.a[j] / t.a[j - 1] for j in range(1, 13)]
 print("ratios a_j/a_{j-1} decrease:",

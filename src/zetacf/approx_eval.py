@@ -27,7 +27,7 @@ from math import factorial
 
 import mpmath as mp
 
-from .coeff_core import BernoulliTable, CSequence, bernoulli_table, c_direct, coeff_table
+from .coeff_core import bernoulli_table, c_direct, coeff_table
 from .errors import InternalConsistencyError, ZeroDenominatorError
 from .qcomplex import QComplex
 from .series import Poly
@@ -125,13 +125,12 @@ def build_g(m: int) -> PartialFraction:
     return PartialFraction(terms, kind="G", m=m)
 
 
-def build_f(m: int, bern: BernoulliTable | None = None) -> PartialFraction:
+def build_f(m: int) -> PartialFraction:
     """F_m as an exact partial fraction; poles whose residue a_{m,j} B_j
     vanishes (odd j >= 3) are omitted, so even poles <= -2 are absent."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    if bern is None or bern.n_max < m:
-        bern = bernoulli_table(m)
+    bern = bernoulli_table(m)
     table = coeff_table(m)
     terms = []
     for j in range(m + 1):
@@ -182,8 +181,7 @@ def _pf_value_at_prec(pf: PartialFraction, s, prec: int) -> mp.mpc:
         return acc
 
 
-def eval_pf_precise(pf: PartialFraction, s, precision: int = 256,
-                    cross_check: bool = True) -> ComplexValue:
+def eval_pf_precise(pf: PartialFraction, s, precision: int = 256) -> ComplexValue:
     """Evaluate at complex s with `precision` working bits.
 
     The result is re-computed at 128 bits and the disagreement recorded, so
@@ -192,10 +190,7 @@ def eval_pf_precise(pf: PartialFraction, s, precision: int = 256,
     if precision < 53:
         raise ValueError("precision must be at least 53 bits")
     v = _pf_value_at_prec(pf, s, precision + 10)
-    width = None
-    if cross_check:
-        v128 = _pf_value_at_prec(pf, s, 128)
-        width = float(abs(v - v128))
+    width = float(abs(v - _pf_value_at_prec(pf, s, 128)))
     with mp.workprec(precision):
         return ComplexValue(+v.real, +v.imag, precision, width)
 
@@ -294,14 +289,12 @@ def g_expansion(m: int) -> FactorialExpansion:
     return _expansion("G", m, coeff_table(m - 1).a, build_g(m))
 
 
-def f_expansion(m: int, cseq: CSequence | None = None) -> FactorialExpansion:
+def f_expansion(m: int) -> FactorialExpansion:
     """T_0 = 1, T_j = 2^{j-1} (j-1)! c_{m,j}; identity with (m+1) s F_m(s)
     verified exactly at three rational non-pole points on construction."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    if cseq is None or cseq.m != m:
-        cseq = c_direct(m)
-    return _expansion("F", m, cseq.c, build_f(m))
+    return _expansion("F", m, c_direct(m).c, build_f(m))
 
 
 # ---------------------------------------------------------------------------
@@ -399,16 +392,12 @@ def _cf_backward(levels, s, zero):
 
 
 def _is_exact_zero(v) -> bool:
-    if isinstance(v, Fraction):
-        return v == 0
-    if isinstance(v, QComplex):
-        return v.is_zero()
-    return False  # float paths never claim exact zero
+    """Whether a Fraction, QComplex or mpc value is zero."""
+    return v.is_zero() if isinstance(v, QComplex) else v == 0
 
 
 def eval_cf(cf: ContinuedFraction, s, depth: int | None = None,
-            precision: int = 256, trace: bool = False,
-            cross_check: bool = True) -> CFEvaluation:
+            precision: int = 256, trace: bool = False) -> CFEvaluation:
     """Evaluate by the backward recurrence from the deepest level.
 
     `depth` is the index of the deepest level included (0 means a single
@@ -439,10 +428,11 @@ def eval_cf(cf: ContinuedFraction, s, depth: int | None = None,
                 raise InternalConsistencyError("forward and backward CF evaluations disagree")
         return CFEvaluation(value, depth + 1, convergents, denominators)
 
-    v = _cf_eval_mp(levels, s, precision + 10)
-    width = None
-    if cross_check:
-        width = float(abs(v - _cf_eval_mp(levels, s, 128)))
+    with mp.workprec(precision + 10):
+        v = _cf_backward(levels, _to_mpc(s), mp.mpc(0))
+    with mp.workprec(128):
+        v128 = _cf_backward(levels, _to_mpc(s), mp.mpc(0))
+    width = float(abs(v - v128))
     with mp.workprec(precision):
         cv = ComplexValue(+v.real, +v.imag, precision, width)
     convergents = denominators = None
@@ -450,18 +440,6 @@ def eval_cf(cf: ContinuedFraction, s, depth: int | None = None,
         with mp.workprec(precision + 10):
             convergents, denominators = _cf_forward(levels, _to_mpc(s))
     return CFEvaluation(cv, depth + 1, convergents, denominators, width)
-
-
-def _cf_eval_mp(levels, s, prec: int) -> mp.mpc:
-    with mp.workprec(prec):
-        z = _to_mpc(s)
-        acc = mp.mpc(0)
-        for idx in range(len(levels) - 1, -1, -1):
-            den_v = levels[idx].den(z) + acc
-            if den_v == 0:
-                raise ZeroDenominatorError(idx)
-            acc = levels[idx].num(z) / den_v
-        return acc
 
 
 def _cf_forward(levels, s):

@@ -214,9 +214,8 @@ def _cmd_coeffs(args, cfg: RunConfig, argv: list[str], parser) -> int:
 
 
 def _verify_oracle3(m_max: int) -> tuple[bool, str | None]:
-    bern = bernoulli_table(m_max)
-    for seq in c_sequences(m_max, bern):
-        other = c_residue_oracle(seq.m, bern)
+    for seq in c_sequences(m_max):
+        other = c_residue_oracle(seq.m)
         if seq.c != other.c:
             k = next(k for k in range(len(seq.c)) if seq.c[k] != other.c[k])
             return False, (f"residue oracle mismatch at m={seq.m}, k={k}: "
@@ -316,8 +315,7 @@ def _cmd_scan_worpitzky(args, cfg: RunConfig, argv: list[str], parser) -> int:
     else:
         t_max = _parse_fraction(args.t_max)
     grid = default_strip_grid(m, n_sigma, n_t, t_max)
-    report = prop1_scan(m, grid, bisect_band=not args.no_band,
-                        progress=_progress if sys.stderr.isatty() else None)
+    report = prop1_scan(m, grid, bisect_band=not args.no_band, progress=_progress)
     sys.stderr.write(f"scan worpitzky: {len(report.points)} points, {report.k_levels} "
                      f"k-levels, {report.exact_fallbacks} exact fallbacks\n")
     payload = worpitzky_payload(report)
@@ -401,10 +399,12 @@ def _cmd_scan_monotonicity(args, cfg: RunConfig, argv: list[str], parser) -> int
 
 
 def _progress(done: int, total: int) -> None:
-    sys.stderr.write(f"\r{done}/{total} points")
+    """Points done so far: one line per call, redrawn in place on a terminal."""
+    if sys.stderr.isatty():
+        sys.stderr.write(f"\r{done}/{total} points" + ("\n" if done >= total else ""))
+    else:
+        sys.stderr.write(f"{done}/{total} points\n")
     sys.stderr.flush()
-    if done >= total:
-        sys.stderr.write("\n")
 
 
 # ---------------------------------------------------------------------------

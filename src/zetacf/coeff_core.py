@@ -16,11 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, log
+from math import comb, factorial, lcm, log
 from typing import Iterator
 
 from .errors import InternalConsistencyError
-from .series import PowerSeries, TruncationOrderError
+from .series import PowerSeries
 
 __all__ = [
     "CoeffTable",
@@ -57,9 +57,9 @@ class CoeffTable:
     m: int
     a: tuple[Fraction, ...]
 
-    def validate(self, deep: bool = False) -> None:
-        """Check the structural invariants; `deep` also verifies that the
-        polynomial vanishes at t = 1..m (an O(m^2) integer computation)."""
+    def validate(self) -> None:
+        """Check the structural invariants, including that the polynomial
+        vanishes at t = 1..m (an O(m^2) integer computation)."""
         m = self.m
         if len(self.a) != m + 1:
             raise InternalConsistencyError(f"table length {len(self.a)} != m+1 = {m + 1}")
@@ -71,12 +71,11 @@ class CoeffTable:
             raise InternalConsistencyError("a[1] must be the m-th harmonic number")
         if any(x <= 0 for x in self.a):
             raise InternalConsistencyError("all a[j] must be positive")
-        if deep:
-            fm = factorial(m)
-            S = [int(x * fm) for x in self.a]
-            for k in range(1, m + 1):
-                if _row_eval_at_int(S, k) != 0:
-                    raise InternalConsistencyError(f"p_{m} does not vanish at t={k}")
+        fm = factorial(m)
+        S = [int(x * fm) for x in self.a]
+        for k in range(1, m + 1):
+            if _row_eval_at_int(S, k) != 0:
+                raise InternalConsistencyError(f"p_{m} does not vanish at t={k}")
 
 
 def stirling_rows(m_max: int) -> Iterator[tuple[int, list[int]]]:
@@ -163,21 +162,30 @@ def _bernoulli_akiyama_tanigawa(n_max: int) -> list[Fraction]:
     return out
 
 
-def bernoulli_table(n_max: int, cross_check: bool = True) -> BernoulliTable:
-    """Exact Bernoulli numbers, computed by the binomial recurrence and,
-    unless disabled, confirmed entry by entry against an Akiyama-Tanigawa
-    tableau. The two routes must agree exactly."""
+_BERN: BernoulliTable | None = None  # the longest table computed so far
+
+
+def bernoulli_table(n_max: int) -> BernoulliTable:
+    """Exact Bernoulli numbers, computed by the binomial recurrence and
+    confirmed entry by entry against an Akiyama-Tanigawa tableau. The two
+    routes must agree exactly.
+
+    The longest table computed so far is kept; a request no longer than it
+    is served as a prefix, and only a longer one computes (and checks) a
+    new table."""
+    global _BERN
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    B = _bernoulli_recurrence(n_max)
-    if cross_check:
+    if _BERN is None or _BERN.n_max < n_max:
+        B = _bernoulli_recurrence(n_max)
         B2 = _bernoulli_akiyama_tanigawa(n_max)
         if B != B2:
             bad = next(i for i in range(n_max + 1) if B[i] != B2[i])
             raise InternalConsistencyError(
                 f"Bernoulli cross-check failed at index {bad}: {B[bad]} vs {B2[bad]}"
             )
-    return BernoulliTable(n_max, tuple(B))
+        _BERN = BernoulliTable(n_max, tuple(B))
+    return BernoulliTable(n_max, _BERN.b[:n_max + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -227,95 +235,81 @@ class CSequence:
         return len(self.c) - 1
 
 
-def _c_from_int_row(m: int, S: list[int], bern: BernoulliTable) -> tuple[Fraction, ...]:
-    fm = factorial(m)
-    J = m // 2
-    # T_j = a_{m,2j} (1-2j) B_{2j}
-    T = [Fraction(S[2 * j] * (1 - 2 * j), fm) * bern[2 * j] for j in range(J + 1)]
-    K = J + 1
+def _t_row(m: int, S: list[int]) -> tuple[list[int], int]:
+    """T_j = a_{m,2j} (1-2j) B_{2j}, j = 0..m/2, as integers over one
+    denominator D = m! lcm(den B_{2j}): T_j = row[j] / D. S is the integer
+    row m! a_{m,.}."""
+    B = bernoulli_table(m)
+    even = [B[2 * j] for j in range(m // 2 + 1)]
+    L = lcm(*(b.denominator for b in even))
+    row = [S[2 * j] * (1 - 2 * j) * b.numerator * (L // b.denominator)
+           for j, b in enumerate(even)]
+    return row, factorial(m) * L
+
+
+def _c_from_int_row(m: int, S: list[int]) -> tuple[Fraction, ...]:
+    T, D = _t_row(m, S)
+    J = len(T) - 1
     out = [Fraction(1)]
-    for k in range(1, K + 1):
-        s = Fraction(0)
-        for j in range(k - 1, J + 1):
-            s += T[j] * comb(j, k - 1)
-        out.append((m + 1) * s if k % 2 == 1 else -(m + 1) * s)
+    for k in range(1, J + 2):
+        s = (m + 1) * sum(T[j] * comb(j, k - 1) for j in range(k - 1, J + 1))
+        out.append(Fraction(s if k % 2 == 1 else -s, D))
     return tuple(out)
 
 
-def c_direct(m: int, bern: BernoulliTable | None = None) -> CSequence:
+def c_direct(m: int) -> CSequence:
     """c_{m,k} = (m+1)(-1)^{k-1} sum_{j<=m/2} a_{m,2j}(1-2j)B_{2j} C(j,k-1),
     with c_{m,0} = 1. Binomials with k-1 > j vanish, which terminates the sum."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    if bern is None or bern.n_max < m:
-        bern = bernoulli_table(m)
-    return CSequence(m, _c_from_int_row(m, _stirling_row(m), bern))
+    return CSequence(m, _c_from_int_row(m, _stirling_row(m)))
 
 
-def c_sequences(m_max: int, bern: BernoulliTable | None = None) -> Iterator[CSequence]:
+def c_sequences(m_max: int) -> Iterator[CSequence]:
     """Yield c-sequences for m = 1..m_max, sharing one coefficient-row sweep."""
-    if bern is None or bern.n_max < m_max:
-        bern = bernoulli_table(m_max)
+    bernoulli_table(m_max)  # the sweep's largest table, once; each row reads a prefix
     for m, S in stirling_rows(m_max):
         if m >= 1:
-            yield CSequence(m, _c_from_int_row(m, S, bern))
+            yield CSequence(m, _c_from_int_row(m, S))
 
 
-def c_residue_oracle(m: int, bern: BernoulliTable | None = None) -> CSequence:
+def c_residue_oracle(m: int) -> CSequence:
     """Recover c_{m,k} from the poles of the normalized approximant.
 
     (m+1) s F_m(s) - 1 has residue (m+1) a_{m,2j} (1-2j) B_{2j} at s = 1-2j.
     Writing the factorial series in the basis
         phi_k(s) = 2^{k-1}(k-1)! / ((s-1)(s+1)...(s+2k-3)),
     the residue of phi_k at s = 1-2j is (-1)^j C(k-1, j), so matching
-    residues gives an upper-triangular system with unit diagonal for the
-    c_{m,k}. The solve is exact and must reproduce c_direct entry by entry.
+    residues gives an upper-triangular system with diagonal (-1)^j for the
+    c_{m,k}. The diagonal is a unit, so the solve stays in integers over the
+    residues' common denominator, and must reproduce c_direct entry by entry.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if bern is None or bern.n_max < m:
-        bern = bernoulli_table(m)
-    S = _stirling_row(m)
-    fm = factorial(m)
-    J = m // 2
+    T, D = _t_row(m, _stirling_row(m))
+    J = len(T) - 1
     K = J + 1
-    R = [Fraction((m + 1) * S[2 * j] * (1 - 2 * j), fm) * bern[2 * j] for j in range(J + 1)]
-    beta: list[Fraction] = [Fraction(0)] * (K + 1)
+    beta = [0] * (K + 1)  # D c_{m,k}
     for j in range(J, -1, -1):
         sign = -1 if j % 2 else 1
-        acc = Fraction(0)
-        for k in range(j + 2, K + 1):
-            if beta[k]:
-                acc += beta[k] * (sign * comb(k - 1, j))
-        diag = sign  # C(j, j) = 1
-        if diag == 0:
-            raise InternalConsistencyError("singular triangular system in residue oracle")
-        beta[j + 1] = (R[j] - acc) / diag
-    beta[0] = Fraction(1)
-    return CSequence(m, tuple(beta))
+        acc = sum(beta[k] * (sign * comb(k - 1, j)) for k in range(j + 2, K + 1))
+        beta[j + 1] = ((m + 1) * T[j] - acc) * sign  # dividing by the diagonal
+    return CSequence(m, (Fraction(1), *(Fraction(b, D) for b in beta[1:])))
 
 
-def c_genfunc_oracle(
-    m_max: int, k_max: int | None = None, order: int | None = None
-) -> tuple[tuple[Fraction, ...], ...]:
+def c_genfunc_oracle(m_max: int) -> tuple[tuple[Fraction, ...], ...]:
     """Coefficients of the bivariate generating function, via series arithmetic.
 
     Expands (log(1-y))^2 * d/dy [ sqrt(1-z) / ((1-y)^{sqrt(1-z)} - 1) ] using
     the even-index Bernoulli expansion: only even powers of sqrt(1-z)
     survive, so each y-degree carries a polynomial in z. Returns the matrix
-    M[m][t] = coefficient of y^m z^t for m = 0..m_max, t = 0..k_max-1.
+    M[m][t] = coefficient of y^m z^t for m = 0..m_max, t = 0..m_max/2.
 
     The claim this oracle tests is M[m][k-1] == c_{m,k} / (m+1) for m >= 1,
     with M[0][0] == 1.
     """
-    if k_max is None:
-        k_max = m_max // 2 + 1
-    if order is None:
-        order = m_max + 5
-    if order < m_max + 2:
-        raise TruncationOrderError(
-            f"truncation order {order} is insufficient for m_max={m_max} (need >= {m_max + 2})"
-        )
+    k_max = m_max // 2 + 1
+    order = m_max + 5
     bern = bernoulli_table(2 * (m_max // 2))
     inv1my = PowerSeries.geometric(order)
     neglog = PowerSeries.neg_log1m(order)
@@ -449,49 +443,46 @@ def a_invariant_witness(m_max: int, deep_roots: bool = True) -> Witness | None:
     return None
 
 
-def c_positivity_witness(m_max: int, bern: BernoulliTable | None = None) -> Witness | None:
+def c_positivity_witness(m_max: int) -> Witness | None:
     """Every c_{m,k} must be strictly positive, for all m <= m_max."""
-    for seq in c_sequences(m_max, bern):
+    for seq in c_sequences(m_max):
         for k, v in enumerate(seq.c):
             if v <= 0:
                 return Witness("c-positivity", seq.m, k, v, Fraction(0))
     return None
 
 
-def c1_identity_witness(m_max: int, bern: BernoulliTable | None = None) -> Witness | None:
+def c1_identity_witness(m_max: int) -> Witness | None:
     """Observed identity c_{m,1} = 2(m+1)/(m+2) h_{m+1}, checked exactly.
 
     Verified as a numerical observation, not assumed anywhere else.
     """
-    if bern is None or bern.n_max < m_max:
-        bern = bernoulli_table(m_max)
+    bernoulli_table(m_max)  # the sweep's largest table, once
     hs = harmonic_sums(m_max + 1)
     next(hs)  # h_0
     next(hs)  # h_1
-    fm = 1
     for m, S in stirling_rows(m_max):
         if m < 1:
             continue
-        fm *= m
         h_next = next(hs).h  # h_{m+1}
-        J = m // 2
-        c1 = (m + 1) * sum(
-            Fraction(S[2 * j] * (1 - 2 * j), fm) * bern[2 * j] for j in range(J + 1)
-        )
+        row, D = _t_row(m, S)
+        c1 = Fraction((m + 1) * sum(row), D)
         expected = Fraction(2 * (m + 1), m + 2) * h_next
         if c1 != expected:
             return Witness("c1-identity", m, 1, c1, expected)
     return None
 
 
-def growth_band_check(m: int = 1000, j_max: int = 3, lo: float = 1 / 3, hi: float = 3.0) -> bool:
-    """Sanity band: a_{m,j} / ((log m)^j / j!) stays within [lo, hi] for small j.
+def growth_band_check() -> bool:
+    """Sanity band: at m = 1000, a_{m,j} / ((log m)^j / j!) stays within
+    [1/3, 3] for j = 1..3.
 
     A float check by design; the growth statement has no exact constants.
     """
+    m = 1000
     table = coeff_table(m)
-    for j in range(1, j_max + 1):
+    for j in range(1, 4):
         ratio = float(table.a[j]) / (log(m) ** j / factorial(j))
-        if not (lo <= ratio <= hi):
+        if not (1 / 3 <= ratio <= 3.0):
             return False
     return True

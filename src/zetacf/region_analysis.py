@@ -28,7 +28,6 @@ import mpmath as mp
 
 from .approx_eval import _pf_value_at_prec, _to_mpc, build_f, build_g
 from .coeff_core import (
-    BernoulliTable,
     _stirling_row,
     bernoulli_table,
     c_sequences,
@@ -122,11 +121,12 @@ def _axis(lo: Fraction, hi: Fraction, n: int) -> list[Fraction]:
     return [lo + i * step for i in range(n)]
 
 
-def half_sqrt_log_lower(m: int, denom_bits: int = 16) -> Fraction:
+def half_sqrt_log_lower(m: int) -> Fraction:
     """Certified rational lower bound for (1/2) sqrt(log m).
 
     Uses validated interval arithmetic for the enclosure, then rounds down to
-    a dyadic rational with a small denominator so grid coordinates stay cheap.
+    a multiple of 2^-16, a small denominator that keeps grid coordinates
+    cheap.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
@@ -139,7 +139,7 @@ def half_sqrt_log_lower(m: int, denom_bits: int = 16) -> Fraction:
         iv.prec = old
     with mp.workprec(80):  # the endpoint has 80 bits: converting it is exact
         lower = _frac(mp.mpf(val.a))  # certified lower endpoint
-    q = 1 << denom_bits
+    q = 1 << 16
     return Fraction(math.floor(lower * q), q)
 
 
@@ -298,8 +298,9 @@ def _point_margin(ctx: _MarginContext, sigma: Fraction, t: Fraction,
     return all_pass, best_k, best_ratio, best_pair[0], best_pair[1], poles, len(exact)
 
 
-def worpitzky_margin(m: int, s, k_range: tuple[int, int] | None = None) -> MarginResult:
-    """Minimum over k of |(v_k+1)(1+1/v_{k+1})| - 4 at s, with an exact verdict.
+def worpitzky_margin(m: int, s) -> MarginResult:
+    """Minimum over k in [1, m-2] of |(v_k+1)(1+1/v_{k+1})| - 4 at s, with an
+    exact verdict.
 
     Any dyadic or rational s is converted exactly, so the pass/fail decision
     and the reported squared margin are exact. The float margin comes from
@@ -308,9 +309,7 @@ def worpitzky_margin(m: int, s, k_range: tuple[int, int] | None = None) -> Margi
     """
     ctx = _margin_context(m)
     sigma, t = _rationalize_point(s)
-    k_lo, k_hi = k_range if k_range is not None else (1, m - 2)
-    if not (1 <= k_lo <= k_hi <= m - 2):
-        raise ValueError(f"k range must lie in [1, {m - 2}]")
+    k_lo, k_hi = 1, m - 2
     found = _point_margin(ctx, sigma, t, k_lo, k_hi)
     margin, margin_sq, k_min, passed = _margin_fields(ctx, found)
     _, _, ratio, num, den, poles, fallbacks = found
@@ -391,7 +390,7 @@ def prop1_scan(m: int, grid: RegionGrid | None = None,
         found = _point_margin(ctx, sig, t, k_lo, k_hi)
         cache[(sig, t)] = PointMargin(sig, t, *_margin_fields(ctx, found))
         fallbacks += found[-1]
-        if progress is not None and (i + 1) % 64 == 0:
+        if progress is not None and ((i + 1) % 64 == 0 or i + 1 == len(work)):
             progress(i + 1, len(work))
 
     points = []
@@ -428,12 +427,12 @@ def prop1_scan(m: int, grid: RegionGrid | None = None,
     )
 
 
-def _empirical_t_band(ctx, T: Fraction, k_lo: int, k_hi: int, steps: int = 20
+def _empirical_t_band(ctx, T: Fraction, k_lo: int, k_hi: int
                       ) -> tuple[Fraction, Fraction | None, int, int]:
     """Largest verified |t| at sigma = 1/2: step up from the guaranteed bound
-    to bracket the first failure, then bisect. The condition holds again for
-    very large |t|, so the upward search uses fixed steps rather than
-    doubling (a doubling search could leap over the failing band).
+    to bracket the first failure, then bisect 20 times. The condition holds
+    again for very large |t|, so the upward search uses fixed steps rather
+    than doubling (a doubling search could leap over the failing band).
 
     Returns (t_empirical, t_resolution, points tested, exact fallbacks)."""
     half = Fraction(1, 2)
@@ -462,7 +461,7 @@ def _empirical_t_band(ctx, T: Fraction, k_lo: int, k_hi: int, steps: int = 20
             break
     if t_hi is None:
         return t_lo, None, probes, fallbacks
-    for _ in range(steps):
+    for _ in range(20):
         mid = (t_lo + t_hi) / 2
         if passes(mid):
             t_lo = mid
@@ -695,15 +694,14 @@ class MonotonicityFinding:
         return self.first_violation_k is None
 
 
-def c_monotonicity_search(m_from: int, m_to: int,
-                          bern: BernoulliTable | None = None) -> list[MonotonicityFinding]:
+def c_monotonicity_search(m_from: int, m_to: int) -> list[MonotonicityFinding]:
     """Exact check, for each m in [m_from, m_to], of whether c_k/c_{k-1} and
     k c_k/c_{k-1} are non-increasing in k. Two findings per m; a violation
     records the first offending k with both compared values exact."""
     if m_from < 2:
         raise ValueError("m_from must be >= 2")
     out: list[MonotonicityFinding] = []
-    for seq in c_sequences(m_to, bern):
+    for seq in c_sequences(m_to):
         if seq.m < m_from:
             continue
         ratios = [seq.c[k] / seq.c[k - 1] for k in range(1, len(seq.c))]
@@ -953,16 +951,14 @@ class ConvergenceProbe:
     points: tuple[ConvergencePoint, ...]
 
 
-def convergence_probe(s_points, m_list, precision: int = 256,
-                      bern: BernoulliTable | None = None) -> ConvergenceProbe:
+def convergence_probe(s_points, m_list, precision: int = 256) -> ConvergenceProbe:
     """|F_m(s)/((s-1) G_m(s)) - zeta_ref(s)| for each s and m, with a flag for
     strict decrease along m_list. Every s must have Re s > 0 and s != 1.
 
     At reachable m the error is only expected to fall where |Im s| is small
     against log m, for example inside the band |Im s| <= (1/2) sqrt(log m)."""
     m_list = list(m_list)
-    if bern is None or bern.n_max < max(m_list):
-        bern = bernoulli_table(max(m_list))
+    bernoulli_table(max(m_list))  # the largest table, once, before the m loop
     pts = []
     for s in s_points:
         with mp.workprec(precision + 20):
@@ -972,7 +968,7 @@ def convergence_probe(s_points, m_list, precision: int = 256,
             ref = zeta_reference(s, precision).value
             rows = []
             for m in m_list:
-                fv = _pf_value_at_prec(build_f(m, bern), z, precision + 20)
+                fv = _pf_value_at_prec(build_f(m), z, precision + 20)
                 gv = _pf_value_at_prec(build_g(m), z, precision + 20)
                 ratio = fv / ((z - 1) * gv)
                 err = abs(ratio - ref)
@@ -982,12 +978,13 @@ def convergence_probe(s_points, m_list, precision: int = 256,
     return ConvergenceProbe(precision, tuple(pts))
 
 
-def seeded_strip_points(seed: int, count: int, denom: int = 64) -> list[QComplex]:
+def seeded_strip_points(seed: int, count: int) -> list[QComplex]:
     """Deterministic pseudo-random rational points with 0 < sigma < 1 and
-    |t| <= 1, reproducible from the recorded seed."""
+    |t| <= 1 on the 1/64 lattice, reproducible from the recorded seed."""
     import random
 
     rng = random.Random(seed)
+    denom = 64
     pts = []
     for _ in range(count):
         sigma = Fraction(rng.randint(1, denom - 1), denom)

@@ -11,6 +11,7 @@ import csv
 import decimal
 import io
 import json
+import math
 import re
 from fractions import Fraction
 
@@ -50,6 +51,12 @@ def _parse_int(text: str) -> int:
     if not _INT_LITERAL.fullmatch(text):
         raise ValueError(f"invalid integer literal: {text!r}")
     return int(decimal.Decimal(text))
+
+
+def _finite(x: float) -> float | None:
+    """x, or None (JSON null) where x is infinite or NaN, which strict JSON
+    cannot hold."""
+    return x if math.isfinite(x) else None
 
 
 def frac_str(q: Fraction) -> str:
@@ -152,7 +159,7 @@ def worpitzky_payload(report) -> dict:
         "t_resolution": frac_str(report.t_resolution) if report.t_resolution is not None else None,
         "all_pass": report.all_pass,
         "band_pass": report.band_pass,
-        "global_min_margin": report.global_min_margin,
+        "global_min_margin": _finite(report.global_min_margin),
         "global_argmin": [frac_str(report.global_argmin[0]), frac_str(report.global_argmin[1])],
         "failing_points": [
             [frac_str(a), frac_str(b)] for a, b in report.failing_points
@@ -161,7 +168,7 @@ def worpitzky_payload(report) -> dict:
             {
                 "sigma": frac_str(p.sigma),
                 "t": frac_str(p.t),
-                "margin": p.margin,
+                "margin": _finite(p.margin),
                 "margin_sq": frac_str(p.margin_sq),
                 "argmin_k": p.argmin_k,
                 "pass": p.passed,
@@ -177,7 +184,7 @@ def zero_scan_payload(result) -> dict:
         "kind": "zero_scan",
         "rectangle": [frac_str(v) for v in result.rectangle],
         "winding_number": result.winding_number,
-        "boundary_min_modulus": result.boundary_min_modulus,
+        "boundary_min_modulus": _finite(result.boundary_min_modulus),
         "boundary_min_modulus_sq": frac_str(result.boundary_min_modulus_sq),
         "samples": result.samples,
         "subdivisions": result.subdivisions,
@@ -224,7 +231,7 @@ def dump_json(payload: dict, header: dict | None = None) -> str:
     if header:
         doc = {**{"schema": payload.get("schema", SCHEMA)}, "run": header,
                **{k: v for k, v in payload.items() if k != "schema"}}
-    return json.dumps(doc, indent=2, ensure_ascii=True) + "\n"
+    return json.dumps(doc, indent=2, ensure_ascii=True, allow_nan=False) + "\n"
 
 
 def dump_csv(columns, rows, header_lines=()) -> str:

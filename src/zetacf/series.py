@@ -323,7 +323,7 @@ class PowerSeries:
                 a = self.coeffs[j]
                 if a:
                     acc = acc + a * out[k - j]
-            out[k] = -(acc * inv0) if isinstance(inv0, (Fraction, Poly)) else -acc * inv0
+            out[k] = -(acc * inv0)
         return PowerSeries(out, n)
 
     def derivative(self) -> "PowerSeries":
@@ -375,13 +375,6 @@ class PowerSeries:
             nxt[0] = nxt[0] + self.coeffs[k]
             res = nxt
         return PowerSeries(res, n)
-
-    def evaluate(self, x):
-        """Horner evaluation of the truncation polynomial at x."""
-        acc = x * 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def __repr__(self):
         head = ", ".join(repr(c) for c in self.coeffs[: min(6, len(self.coeffs))])

@@ -34,8 +34,9 @@ from zetacf.approx_eval import (
     numerator_poly,
 )
 from zetacf.coeff_core import (
+    _bernoulli_akiyama_tanigawa,
+    _bernoulli_recurrence,
     a_invariant_witness,
-    bernoulli_table,
     c1_identity_witness,
     c_genfunc_oracle,
     c_positivity_witness,
@@ -84,19 +85,19 @@ def test_criterion_01_golden_forms():
     _finish(1, "collapsed golden forms of the two m=3 approximants", t0, ok, 1.0)
 
 
-def test_criterion_02_triple_oracle(bern520):
+def test_criterion_02_triple_oracle():
     t0 = time.monotonic()
     ok = True
     detail = ""
-    for seq in c_sequences(60, bern520):
-        if c_residue_oracle(seq.m, bern520).c != seq.c:
+    for seq in c_sequences(60):
+        if c_residue_oracle(seq.m).c != seq.c:
             ok, detail = False, f"residue mismatch at m={seq.m}"
             break
     if ok:
         M = c_genfunc_oracle(30)
         if M[0][0] != 1:
             ok, detail = False, "constant term not 1"
-        for seq in c_sequences(30, bern520):
+        for seq in c_sequences(30):
             for k in range(1, len(seq.c)):
                 if M[seq.m][k - 1] != seq.c[k] / (seq.m + 1):
                     ok, detail = False, f"generating function mismatch at m={seq.m}, k={k}"
@@ -107,7 +108,7 @@ def test_criterion_02_triple_oracle(bern520):
                " formula (m<=60 / m<=30, exact)", t0, ok, 120.0, detail)
 
 
-def test_criterion_03_exact_invariant_sweep(bern520):
+def test_criterion_03_exact_invariant_sweep():
     t0 = time.monotonic()
     ok = True
     detail = ""
@@ -119,15 +120,15 @@ def test_criterion_03_exact_invariant_sweep(bern520):
         if r is not None:
             ok, detail = False, f"ratio bounds fail at m={r.m}: {r.witness}"
     if ok:
-        w = c_positivity_witness(200, bern520)
+        w = c_positivity_witness(200)
         if w is not None:
             ok, detail = False, str(w)
     if ok:
-        w = c1_identity_witness(500, bern520)
+        w = c1_identity_witness(500)
         if w is not None:
             ok, detail = False, str(w)
-    if ok:
-        bernoulli_table(200, cross_check=True)  # raises on disagreement
+    if ok and _bernoulli_recurrence(200) != _bernoulli_akiyama_tanigawa(200):
+        ok, detail = False, "the two Bernoulli routes disagree through n=200"
     _finish(3, "exact invariant sweep: table identities, log-concavity, ratio"
                " bounds, positivity, first-coefficient identity, dual"
                " Bernoulli routes", t0, ok, 300.0, detail)
@@ -216,9 +217,9 @@ def test_criterion_07_binomial_cf_and_positivity():
                " positivity through y^30", t0, ok, 120.0, detail)
 
 
-def test_criterion_08_monotonicity_experiment(bern520):
+def test_criterion_08_monotonicity_experiment():
     t0 = time.monotonic()
-    findings = c_monotonicity_search(2, 200, bern520)
+    findings = c_monotonicity_search(2, 200)
     first = first_k_ratio_violation(findings)
     plain_all_decreasing = all(f.decreasing for f in findings if f.kind == "c_ratio")
     statuses = {f.m for f in findings}
@@ -232,11 +233,11 @@ def test_criterion_08_monotonicity_experiment(bern520):
                " golden artifact", t0, ok, None, detail)
 
 
-def test_criterion_09_convergence_probe(bern520):
+def test_criterion_09_convergence_probe():
     t0 = time.monotonic()
     s_in_band = QComplex(F(1, 2), half_sqrt_log_lower(4))
     probe = convergence_probe([F(2), s_in_band], [4, 8, 16, 32, 64],
-                              precision=256, bern=bern520)
+                              precision=256)
     at2, at_band = probe.points
     ok = at2.strictly_decreasing and at_band.strictly_decreasing
     detail = (f"s=2 decreasing: {at2.strictly_decreasing}, final {at2.rows[-1].error:.2e}; "

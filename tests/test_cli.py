@@ -102,6 +102,8 @@ class TestScan:
         err = capsys.readouterr().err
         assert "scan worpitzky: 49 points, 280 k-levels, 0 exact fallbacks\n" in err
         assert "fallback" not in out.read_text()
+        # progress is written as whole lines when stderr is not a TTY
+        assert err.startswith("28/28 points\n") and "\r" not in err
 
     def test_jobs_does_not_change_points(self, tmp_path):
         # --jobs is accepted and validated, and the scan runs in one process
@@ -119,9 +121,15 @@ class TestScan:
         code, out = run_cli(["scan", "worpitzky", "5", "--grid", "1x3",
                              "--t-max", "1000000000", "--no-band"], tmp_path)
         assert code == 0
-        doc = json.loads(out.read_text())
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        doc = json.loads(out.read_text(), parse_constant=reject)
         assert doc["all_pass"] is True
         assert [p["argmin_k"] for p in doc["points"]] == [1, 2, 1]
+        # the far points' float margins are infinite: written as null
+        assert [p["margin"] is None for p in doc["points"]] == [True, False, True]
 
     def test_worpitzky_csv_schema(self, tmp_path):
         out = tmp_path / "w.csv"

@@ -3,7 +3,10 @@ from math import comb, factorial
 
 import pytest
 
+from zetacf import coeff_core
 from zetacf.coeff_core import (
+    _bernoulli_akiyama_tanigawa,
+    _bernoulli_recurrence,
     a_invariant_witness,
     bernoulli_table,
     c1_identity_witness,
@@ -18,7 +21,8 @@ from zetacf.coeff_core import (
     harmonic_sums,
     sinh_series,
 )
-from zetacf.series import Poly, TruncationOrderError
+from zetacf.errors import InternalConsistencyError
+from zetacf.series import Poly
 
 
 def product_poly_coeffs(m: int) -> list[F]:
@@ -48,7 +52,7 @@ class TestCoeffTable:
 
     def test_validate_deep(self):
         for m in (0, 1, 5, 17, 30):
-            coeff_table(m).validate(deep=True)
+            coeff_table(m).validate()
 
     def test_negative_m_rejected(self):
         with pytest.raises(ValueError):
@@ -69,8 +73,29 @@ class TestBernoulli:
         assert all(b[j] == 0 for j in range(3, 42, 2))
 
     def test_dual_method_agreement_200(self):
-        # cross_check=True runs the tableau route and compares exactly
-        bernoulli_table(200, cross_check=True)
+        # both routes, computed afresh: a cached table would prove nothing
+        assert _bernoulli_recurrence(200) == _bernoulli_akiyama_tanigawa(200)
+
+    def test_disagreement_raises(self, monkeypatch):
+        def perturbed(n_max):
+            B = _bernoulli_akiyama_tanigawa(n_max)
+            B[6] += F(1, 10**9)
+            return B
+
+        monkeypatch.setattr(coeff_core, "_BERN", None)
+        monkeypatch.setattr(coeff_core, "_bernoulli_akiyama_tanigawa", perturbed)
+        with pytest.raises(InternalConsistencyError, match="index 6"):
+            bernoulli_table(10)
+
+    def test_prefix_of_cached_table_equals_fresh(self, monkeypatch):
+        monkeypatch.setattr(coeff_core, "_BERN", None)
+        fresh = bernoulli_table(24)
+        monkeypatch.setattr(coeff_core, "_BERN", None)
+        bernoulli_table(60)
+        served = bernoulli_table(24)
+        assert coeff_core._BERN.n_max == 60
+        assert served == fresh
+        assert list(served.b) == _bernoulli_recurrence(24)
 
     def test_f3_pole_terms(self):
         # the displayed F_3 terms force the sign convention:
@@ -111,64 +136,60 @@ class TestCSequence:
     def test_m1_golden(self, bern520):
         assert list(c_direct(1).c) == c_bruteforce(1, bern520) == [F(1), F(2)]
 
-    def test_m2_golden(self, bern520):
+    def test_m2_golden(self):
         seq = c_direct(2)
         assert seq.c[1] == F(11, 4)
         assert seq.c[1] == 2 * F(3, 4) * harmonic(3).h
 
     @pytest.mark.parametrize("m", [3, 4, 5, 8, 11, 16, 20])
     def test_matches_bruteforce(self, m, bern520):
-        assert list(c_direct(m, bern520).c) == c_bruteforce(m, bern520)
+        assert list(c_direct(m).c) == c_bruteforce(m, bern520)
 
-    def test_c0_always_one(self, bern520):
-        for seq in c_sequences(40, bern520):
+    def test_c0_always_one(self):
+        for seq in c_sequences(40):
             assert seq.c[0] == 1
             assert seq.k_max == seq.m // 2 + 1
 
-    def test_sweep_matches_single(self, bern520):
-        singles = {m: c_direct(m, bern520).c for m in range(1, 21)}
-        for seq in c_sequences(20, bern520):
+    def test_sweep_matches_single(self):
+        singles = {m: c_direct(m).c for m in range(1, 21)}
+        for seq in c_sequences(20):
             assert seq.c == singles[seq.m]
 
 
 class TestResidueOracle:
     @pytest.mark.parametrize("m", [1, 2, 3, 6, 13, 20])
-    def test_matches_direct(self, m, bern520):
-        assert c_residue_oracle(m, bern520).c == c_direct(m, bern520).c
+    def test_matches_direct(self, m):
+        assert c_residue_oracle(m).c == c_direct(m).c
 
-    def test_m1(self, bern520):
-        assert c_residue_oracle(1, bern520).c == (F(1), F(2))
+    def test_m1(self):
+        assert c_residue_oracle(1).c == (F(1), F(2))
 
-    def test_length_terminates(self, bern520):
+    def test_length_terminates(self):
         # finitely many poles: exactly floor(m/2)+2 entries including c_0
-        assert len(c_residue_oracle(2, bern520).c) == 3
+        assert len(c_residue_oracle(2).c) == 3
 
 
 class TestGenfuncOracle:
     def test_constant_term(self):
         assert c_genfunc_oracle(4)[0][0] == 1
 
-    def test_m1_entry(self, bern520):
+    def test_m1_entry(self):
         M = c_genfunc_oracle(4)
-        assert M[1][0] == c_direct(1, bern520).c[1] / 2 == 1
+        assert M[1][0] == c_direct(1).c[1] / 2 == 1
 
-    def test_m3_row_is_scaled_c(self, bern520):
+    def test_m3_row_is_scaled_c(self):
         M = c_genfunc_oracle(6)
-        c3 = c_direct(3, bern520).c
+        c3 = c_direct(3).c
         for k in range(1, len(c3)):
             assert M[3][k - 1] == c3[k] / 4
 
-    def test_full_match_to_12(self, bern520):
+    def test_full_match_to_12(self):
         M = c_genfunc_oracle(12)
-        for seq in c_sequences(12, bern520):
+        for seq in c_sequences(12):
             for k in range(1, len(seq.c)):
                 assert M[seq.m][k - 1] == seq.c[k] / (seq.m + 1)
             for t in range(len(seq.c) - 1, len(M[seq.m])):
                 assert M[seq.m][t] == 0
-
-    def test_insufficient_order_reported(self):
-        with pytest.raises(TruncationOrderError):
-            c_genfunc_oracle(10, order=11)
 
 
 class TestSinhSeries:
@@ -200,11 +221,11 @@ class TestInvariantSweeps:
     def test_a_invariants_to_100(self):
         assert a_invariant_witness(100) is None
 
-    def test_c_positivity_to_60(self, bern520):
-        assert c_positivity_witness(60, bern520) is None
+    def test_c_positivity_to_60(self):
+        assert c_positivity_witness(60) is None
 
-    def test_c1_identity_to_100(self, bern520):
-        assert c1_identity_witness(100, bern520) is None
+    def test_c1_identity_to_100(self):
+        assert c1_identity_witness(100) is None
 
     def test_growth_band_at_1000(self):
-        assert growth_band_check(1000)
+        assert growth_band_check()

@@ -89,10 +89,6 @@ class TestWorpitzkyMargin:
         r2 = worpitzky_margin(12, QComplex(F(1, 2), F(3, 4)))
         assert r1 == r2
 
-    def test_k_range_validation(self):
-        with pytest.raises(ValueError):
-            worpitzky_margin(10, QComplex(F(1, 2), F(0)), k_range=(0, 3))
-
 
 def _oracle_sq(a, sigma, t, k):
     """|E_k|^2 = |(v_k+1)(1+1/v_{k+1})|^2 in Fractions, from a = a_{m-1,.}."""
@@ -384,9 +380,9 @@ class TestZeroScan:
 
 
 class TestMonotonicity:
-    def test_golden_artifact(self, bern520):
+    def test_golden_artifact(self):
         golden = json.loads((GOLDEN / "monotonicity.json").read_text())
-        findings = c_monotonicity_search(2, 130, bern520)
+        findings = c_monotonicity_search(2, 130)
         first = first_k_ratio_violation(findings)
         assert first is not None
         assert first.m == golden["first_violation_m"] == 116
@@ -394,12 +390,12 @@ class TestMonotonicity:
         # and the plain ratio stays non-increasing on the searched range
         assert all(f.decreasing for f in findings if f.kind == "c_ratio")
 
-    def test_m2_trivially_decreasing(self, bern520):
-        findings = c_monotonicity_search(2, 2, bern520)
+    def test_m2_trivially_decreasing(self):
+        findings = c_monotonicity_search(2, 2)
         assert all(f.decreasing for f in findings)
 
-    def test_violation_is_exact(self, bern520):
-        findings = c_monotonicity_search(116, 116, bern520)
+    def test_violation_is_exact(self):
+        findings = c_monotonicity_search(116, 116)
         f = next(x for x in findings if x.kind == "k_c_ratio")
         assert f.first_violation_k == 9
         assert f.lhs > f.rhs  # the recorded exact inequality
@@ -465,24 +461,24 @@ class TestZetaReference:
 
 
 class TestConvergenceProbe:
-    def test_s2_strictly_decreasing(self, bern520):
-        probe = convergence_probe([F(2)], [4, 8, 16, 32, 64], 192, bern520)
+    def test_s2_strictly_decreasing(self):
+        probe = convergence_probe([F(2)], [4, 8, 16, 32, 64], 192)
         pt = probe.points[0]
         assert pt.strictly_decreasing
         # threshold from the pilot run of the reference comparison
         assert pt.rows[-1].error < 2e-3
 
-    def test_classical_limit_value(self, bern520):
-        probe = convergence_probe([F(2)], [64], 192, bern520)
+    def test_classical_limit_value(self):
+        probe = convergence_probe([F(2)], [64], 192)
         # F_64(2)/G_64(2) is within 2e-3 of pi^2/6
         with mp.workprec(200):
             assert probe.points[0].rows[0].error < 2e-3
 
-    def test_diverges_near_first_zero(self, bern520):
+    def test_diverges_near_first_zero(self):
         # Near t = 14 |Gamma(s-1)| is ~4e-11 and log 64 is only 4.16, so
         # the ratio drifts toward 1 and its error toward |1 - zeta(s)|.
         s = mp.mpc(mp.mpf(1) / 2, mp.mpf("14.13"))
-        pt = convergence_probe([s], [4, 8, 16, 32, 64], 256, bern520).points[0]
+        pt = convergence_probe([s], [4, 8, 16, 32, 64], 256).points[0]
         errors = [r.error for r in pt.rows]
         assert not pt.strictly_decreasing
         assert all(a < b for a, b in zip(errors, errors[1:]))
@@ -490,11 +486,11 @@ class TestConvergenceProbe:
             gap = float(abs(1 - zeta_reference(s, 256).value))
         assert abs(errors[-1] - gap) < abs(errors[0] - gap)
 
-    def test_rejects_bad_points(self, bern520):
+    def test_rejects_bad_points(self):
         with pytest.raises(ValueError):
-            convergence_probe([F(1)], [4], 128, bern520)
+            convergence_probe([F(1)], [4], 128)
         with pytest.raises(ValueError):
-            convergence_probe([F(-2)], [4], 128, bern520)
+            convergence_probe([F(-2)], [4], 128)
 
 
 class TestSeededPoints:

@@ -1,3 +1,5 @@
+import json
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -15,7 +17,9 @@ from zetacf.serialize import (
     parse_frac,
     partial_fraction_payload,
     table_payload,
+    zero_scan_payload,
 )
+from zetacf.region_analysis import ZeroScanResult
 
 
 def test_frac_roundtrip():
@@ -74,6 +78,16 @@ def test_dump_json_deterministic_with_header():
     assert out1 == out2
     assert out1.endswith("\n")
     assert '"run"' in out1
+
+
+def test_dump_json_is_strict():
+    # a non-finite float modulus is written as null; no other non-finite
+    # value may reach the JSON encoder
+    res = ZeroScanResult((F(0), F(1), F(-1), F(1)), 0, math.inf, F(10) ** 700, 64, 0, True)
+    doc = json.loads(dump_json(zero_scan_payload(res)))
+    assert doc["boundary_min_modulus"] is None
+    with pytest.raises(ValueError):
+        dump_json({"x": math.nan})
 
 
 def test_dump_csv_format():

@@ -91,7 +91,3 @@ class TestPowerSeries:
         a = PowerSeries([Poly([2]), Poly([-1, 1])], 4)
         inv = a.inverse()
         assert (a * inv) == PowerSeries([Poly([1])], 4)
-
-    def test_evaluate(self):
-        a = PowerSeries([1, 1, 1], 2)
-        assert a.evaluate(F(1, 2)) == F(7, 4)
