@@ -475,19 +475,14 @@ def collapsed(pf: PartialFraction) -> tuple[Fraction, Poly, tuple[int, ...]]:
     coefficients, positive leading coefficient, with the rational content
     returned as the scalar.
     """
-    poles = pf.poles
-    n = len(poles)
-    pre = [Poly([1])] * (n + 1)
-    for i, p in enumerate(poles):
-        pre[i + 1] = pre[i] * Poly.linear(-p, 1)
-    suf = [Poly([1])] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suf[i] = suf[i + 1] * Poly.linear(-poles[i], 1)
     numer = Poly()
-    for j, (_, r) in enumerate(pf.terms):
-        numer = numer + r * (pre[j] * suf[j + 1])
+    prod = Poly([1])  # prod(s - p) over the poles seen so far
+    for p, r in pf.terms:
+        lin = Poly.linear(-p, 1)
+        numer = numer * lin + prod * r
+        prod = prod * lin
     content, prim = numer.primitive()
-    return content, prim, poles
+    return content, prim, pf.poles
 
 
 def numerator_poly(pf: PartialFraction) -> Poly:

@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -153,8 +154,14 @@ def _emit(cfg: RunConfig, command: str, arguments: list[str],
         _write(dump_csv(columns, rows, lines), cfg.out)
 
 
-def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
+@contextmanager
+def _usage_errors(parser):
+    """Report a ValueError raised inside the block as a usage error: the
+    library raises it for argument values outside its range."""
+    try:
+        yield
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _parse_complex_token(tok: str):
@@ -164,13 +171,13 @@ def _parse_complex_token(tok: str):
         body = tok[:-1]
         split = max(body.rfind("+", 1), body.rfind("-", 1))
         if split <= 0:
-            return Fraction(0), Fraction(body if body not in ("", "+", "-") else body + "1")
+            return Fraction(0), _rational(body if body not in ("", "+", "-") else body + "1")
         re_part = body[:split]
         im_part = body[split:]
         if im_part in ("+", "-"):
             im_part += "1"
-        return Fraction(re_part), Fraction(im_part)
-    return Fraction(tok), Fraction(0)
+        return _rational(re_part), _rational(im_part)
+    return _rational(tok), Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -184,22 +191,20 @@ def _cmd_coeffs(args, cfg: RunConfig, argv: list[str], parser) -> int:
         parser.error("--r-squared is required when kind is sinh")
     if kind != "sinh" and args.r_squared is not None:
         parser.error("--r-squared only applies to kind sinh")
-    if kind == "a":
-        values = coeff_table(args.m).a
-        extra = {"m": args.m}
-    elif kind == "c":
-        if args.m < 1:
-            parser.error("kind c needs m >= 1")
-        values = c_direct(args.m).c
-        extra = {"m": args.m}
-    elif kind == "bernoulli":
-        values = bernoulli_table(args.m).b
-        extra = {"n_max": args.m}
-    else:
-        r2 = _parse_fraction(args.r_squared)
-        n = args.n if args.n is not None else 60
-        values = sinh_series(r2, n).d
-        extra = {"r_squared": frac_str(r2), "n_terms": n}
+    with _usage_errors(parser):
+        if kind == "a":
+            values = coeff_table(args.m).a
+            extra = {"m": args.m}
+        elif kind == "c":
+            values = c_direct(args.m).c
+            extra = {"m": args.m}
+        elif kind == "bernoulli":
+            values = bernoulli_table(args.m).b
+            extra = {"n_max": args.m}
+        else:
+            n = args.n if args.n is not None else 60
+            values = sinh_series(args.r_squared, n).d
+            extra = {"r_squared": frac_str(args.r_squared), "n_terms": n}
     payload = table_payload(f"coeffs_{kind}", "index", values, extra)
     rows = [
         (i, v.numerator, v.denominator, decimal30(v)) for i, v in enumerate(values)
@@ -260,33 +265,34 @@ def _cmd_verify(args, cfg: RunConfig, argv: list[str], parser) -> int:
     }[claim]
     m_max = args.m_max if args.m_max is not None else m_default
     witness = None
-    if claim == "lemma1":
-        res = ratio_bounds_sweep(m_max)
-        passed = res is None
-        if res is not None:
-            witness = f"m={res.m}: {res.witness}"
-    elif claim == "newton":
-        w = a_invariant_witness(m_max, deep_roots=False)
-        passed = w is None
-        witness = str(w) if w else None
-    elif claim == "positivity":
-        w = c_positivity_witness(m_max)
-        passed = w is None
-        witness = str(w) if w else None
-    elif claim == "oracle3":
-        passed, witness = _verify_oracle3(m_max)
-    elif claim == "genfunc":
-        passed, witness = _verify_genfunc(m_max)
-    elif claim == "binomial-cf":
-        res = binomial_cf_check(m_max)
-        passed = res.passed
-        witness = None if passed else f"first mismatch at y^{res.first_mismatch}"
-    elif claim == "c1-identity":
-        w = c1_identity_witness(m_max)
-        passed = w is None
-        witness = str(w) if w else None
-    else:  # logconcave-sinh
-        passed, witness = _verify_sinh(m_max)
+    with _usage_errors(parser):
+        if claim == "lemma1":
+            res = ratio_bounds_sweep(m_max)
+            passed = res is None
+            if res is not None:
+                witness = f"m={res.m}: {res.witness}"
+        elif claim == "newton":
+            w = a_invariant_witness(m_max, deep_roots=False)
+            passed = w is None
+            witness = str(w) if w else None
+        elif claim == "positivity":
+            w = c_positivity_witness(m_max)
+            passed = w is None
+            witness = str(w) if w else None
+        elif claim == "oracle3":
+            passed, witness = _verify_oracle3(m_max)
+        elif claim == "genfunc":
+            passed, witness = _verify_genfunc(m_max)
+        elif claim == "binomial-cf":
+            res = binomial_cf_check(m_max)
+            passed = res.passed
+            witness = None if passed else f"first mismatch at y^{res.first_mismatch}"
+        elif claim == "c1-identity":
+            w = c1_identity_witness(m_max)
+            passed = w is None
+            witness = str(w) if w else None
+        else:  # logconcave-sinh
+            passed, witness = _verify_sinh(m_max)
     payload = {
         "schema": SCHEMA,
         "kind": "verify",
@@ -310,12 +316,9 @@ def _cmd_scan_worpitzky(args, cfg: RunConfig, argv: list[str], parser) -> int:
     if m < 3:
         parser.error("worpitzky scan needs m >= 3")
     n_sigma, n_t = args.grid
-    if args.t_max == "auto":
-        t_max = None
-    else:
-        t_max = _parse_fraction(args.t_max)
-    grid = default_strip_grid(m, n_sigma, n_t, t_max)
-    report = prop1_scan(m, grid, bisect_band=not args.no_band, progress=_progress)
+    with _usage_errors(parser):
+        grid = default_strip_grid(m, n_sigma, n_t, args.t_max)
+        report = prop1_scan(m, grid, bisect_band=not args.no_band, progress=_progress)
     sys.stderr.write(f"scan worpitzky: {len(report.points)} points, {report.k_levels} "
                      f"k-levels, {report.exact_fallbacks} exact fallbacks\n")
     payload = worpitzky_payload(report)
@@ -327,22 +330,17 @@ def _cmd_scan_worpitzky(args, cfg: RunConfig, argv: list[str], parser) -> int:
 
 def _cmd_scan_zero(args, cfg: RunConfig, argv: list[str], parser) -> int:
     m = args.m
-    if args.rect is not None:
-        parts = [Fraction(x) for x in args.rect.split(",")]
-        if len(parts) != 4:
-            parser.error("--rect needs four comma-separated rationals")
-        rect = tuple(parts)
-    else:
-        T = half_sqrt_log_lower(m)
-        rect = (Fraction(0), Fraction(1), -T, T)
     which = {"g": ["G"], "f": ["F"], "both": ["G", "F"]}[args.which]
     results = {}
-    winding_zero = True
-    for kind in which:
-        pf = build_g(m) if kind == "G" else build_f(m)
-        res = zero_scan(numerator_poly(pf), rect)
-        results[kind] = res
-        winding_zero = winding_zero and res.winding_number == 0
+    with _usage_errors(parser):
+        rect = args.rect
+        if rect is None:
+            T = half_sqrt_log_lower(m)
+            rect = (Fraction(0), Fraction(1), -T, T)
+        for kind in which:
+            pf = build_g(m) if kind == "G" else build_f(m)
+            results[kind] = zero_scan(numerator_poly(pf), rect)
+    winding_zero = all(res.winding_number == 0 for res in results.values())
     payload = {
         "schema": SCHEMA,
         "kind": "zero_scan",
@@ -362,13 +360,12 @@ def _cmd_scan_convergence(args, cfg: RunConfig, argv: list[str], parser) -> int:
     import mpmath as mp
 
     points = []
-    for tok in args.s.split(","):
-        sigma, t = _parse_complex_token(tok)
+    for sigma, t in args.s:
         with mp.workprec(cfg.precision + 20):
             points.append(mp.mpc(mp.mpf(sigma.numerator) / sigma.denominator,
                                  mp.mpf(t.numerator) / t.denominator))
-    m_list = [int(x) for x in args.m_list.split(",")]
-    probe = convergence_probe(points, m_list, cfg.precision)
+    with _usage_errors(parser):
+        probe = convergence_probe(points, args.m_list, cfg.precision)
     payload = convergence_payload(probe)
     rows = []
     for pt in probe.points:
@@ -380,12 +377,8 @@ def _cmd_scan_convergence(args, cfg: RunConfig, argv: list[str], parser) -> int:
 
 
 def _cmd_scan_monotonicity(args, cfg: RunConfig, argv: list[str], parser) -> int:
-    text = args.m_range
-    if ".." in text:
-        lo, hi = (int(x) for x in text.split("..", 1))
-    else:
-        lo, hi = 2, int(text)
-    findings = c_monotonicity_search(lo, hi)
+    with _usage_errors(parser):
+        findings = c_monotonicity_search(*args.m_range)
     first = first_k_ratio_violation(findings)
     payload = monotonicity_payload(findings)
     payload["first_k_ratio_violation_m"] = first.m if first else None
@@ -418,6 +411,43 @@ def _grid_arg(text: str) -> tuple[int, int]:
         return int(a), int(b)
     except ValueError:
         raise argparse.ArgumentTypeError("grid must look like 41x41") from None
+
+
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a rational number") from None
+
+
+def _rect_arg(text: str) -> tuple[Fraction, ...]:
+    parts = tuple(_rational(x) for x in text.split(","))
+    if len(parts) != 4:
+        raise argparse.ArgumentTypeError("rect needs four comma-separated rationals")
+    return parts
+
+
+def _t_max_arg(text: str) -> Fraction | None:
+    return None if text == "auto" else _rational(text)
+
+
+def _points_arg(text: str) -> list[tuple[Fraction, Fraction]]:
+    return [_parse_complex_token(tok) for tok in text.split(",")]
+
+
+def _int_list_arg(text: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError("m-list needs comma-separated integers") from None
+
+
+def _m_range_arg(text: str) -> tuple[int, int]:
+    lo, sep, hi = text.partition("..")
+    try:
+        return (int(lo), int(hi)) if sep else (2, int(lo))
+    except ValueError:
+        raise argparse.ArgumentTypeError("range must look like M or LO..HI") from None
 
 
 def _add_run_options(parser: argparse.ArgumentParser, trailing: bool) -> None:
@@ -454,7 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_coeffs = leaf(sub, "coeffs", help="emit an exact coefficient table")
     p_coeffs.add_argument("m", type=int)
     p_coeffs.add_argument("--kind", choices=("a", "c", "bernoulli", "sinh"), required=True)
-    p_coeffs.add_argument("--r-squared", default=None, help="rational r^2 (sinh only)")
+    p_coeffs.add_argument("--r-squared", type=_rational, default=None,
+                          help="rational r^2 (sinh only)")
     p_coeffs.add_argument("--n", type=int, default=None, help="number of terms (sinh only)")
 
     p_verify = leaf(sub, "verify", help="run an exact verification sweep")
@@ -467,20 +498,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_w = leaf(scan_sub, "worpitzky", help="element-test margins over a strip grid")
     p_w.add_argument("m", type=int)
     p_w.add_argument("--grid", type=_grid_arg, default=(41, 41))
-    p_w.add_argument("--t-max", default="auto")
+    p_w.add_argument("--t-max", type=_t_max_arg, default="auto")
     p_w.add_argument("--no-band", action="store_true", help="skip the empirical t-band search")
 
     p_z = leaf(scan_sub, "zero", help="winding numbers of the collapsed numerators")
     p_z.add_argument("m", type=int)
     p_z.add_argument("--which", choices=("g", "f", "both"), default="both")
-    p_z.add_argument("--rect", default=None, help="sigma_lo,sigma_hi,t_lo,t_hi (rationals)")
+    p_z.add_argument("--rect", type=_rect_arg, default=None,
+                     help="sigma_lo,sigma_hi,t_lo,t_hi (rationals)")
 
     p_c = leaf(scan_sub, "convergence", help="approximant error against the reference")
-    p_c.add_argument("--s", default="2", help="comma-separated points, e.g. '2,1/2+14.13i'")
-    p_c.add_argument("--m-list", default="4,8,16,32,64")
+    p_c.add_argument("--s", type=_points_arg, default="2",
+                     help="comma-separated points, e.g. '2,1/2+14.13i'")
+    p_c.add_argument("--m-list", type=_int_list_arg, default="4,8,16,32,64")
 
     p_m = leaf(scan_sub, "monotonicity", help="c-ratio monotonicity search")
-    p_m.add_argument("m_range", help="M or LO..HI")
+    p_m.add_argument("m_range", type=_m_range_arg, help="M or LO..HI")
 
     return parser
 

@@ -58,24 +58,18 @@ class CoeffTable:
     a: tuple[Fraction, ...]
 
     def validate(self) -> None:
-        """Check the structural invariants, including that the polynomial
-        vanishes at t = 1..m (an O(m^2) integer computation)."""
+        """Check the row invariants of `a_invariant_witness`, including that
+        the polynomial vanishes at t = 1..m (an O(m^2) integer computation)."""
         m = self.m
         if len(self.a) != m + 1:
             raise InternalConsistencyError(f"table length {len(self.a)} != m+1 = {m + 1}")
-        if self.a[0] != 1:
-            raise InternalConsistencyError("a[0] must be 1")
-        if self.a[m] != Fraction(1, factorial(m)):
-            raise InternalConsistencyError("a[m] must be 1/m!")
-        if m >= 1 and self.a[1] != harmonic(m).h:
-            raise InternalConsistencyError("a[1] must be the m-th harmonic number")
-        if any(x <= 0 for x in self.a):
-            raise InternalConsistencyError("all a[j] must be positive")
         fm = factorial(m)
-        S = [int(x * fm) for x in self.a]
-        for k in range(1, m + 1):
-            if _row_eval_at_int(S, k) != 0:
-                raise InternalConsistencyError(f"p_{m} does not vanish at t={k}")
+        S = [x * fm for x in self.a]
+        if any(v.denominator != 1 for v in S):
+            raise InternalConsistencyError("m! a[j] is not an integer for every j")
+        witness = _row_witness(m, [v.numerator for v in S], fm, harmonic(m).h, deep_roots=True)
+        if witness is not None:
+            raise InternalConsistencyError(str(witness))
 
 
 def stirling_rows(m_max: int) -> Iterator[tuple[int, list[int]]]:
@@ -135,28 +129,31 @@ class BernoulliTable:
         return self.b[j]
 
 
+# Both routes run over E_k = L B_k, L = lcm(1..n_max+1): by von Staudt-Clausen
+# every den B_k divides L, so both stay in integers and the recurrence's
+# division by n+1 is exact.
 def _bernoulli_recurrence(n_max: int) -> list[Fraction]:
     # sum_{k=0}^{n} C(n+1, k) B_k = 0 for n >= 1
-    B = [Fraction(1)]
+    L = lcm(*range(1, n_max + 2))
+    E = [L]
+    row = [1, 1]  # C(n, k), k = 0..n, carried as Pascal's row
     for n in range(1, n_max + 1):
-        s = Fraction(0)
-        for k in range(n):
-            if B[k]:
-                s += comb(n + 1, k) * B[k]
-        B.append(-s / (n + 1))
-    return B
+        row = [1] + [row[k - 1] + row[k] for k in range(1, n + 1)] + [1]
+        E.append(-sum(row[k] * E[k] for k in range(n) if E[k]) // (n + 1))
+    return [Fraction(e, L) for e in E]
 
 
 def _bernoulli_akiyama_tanigawa(n_max: int) -> list[Fraction]:
     # The tableau natively produces B_1 = +1/2; flip it to the B_1 = -1/2
     # convention used throughout (even indices agree in both conventions).
-    A = [Fraction(0)] * (n_max + 1)
+    L = lcm(*range(1, n_max + 2))
+    A = [0] * (n_max + 1)
     out = []
     for m in range(n_max + 1):
-        A[m] = Fraction(1, m + 1)
+        A[m] = L // (m + 1)
         for j in range(m, 0, -1):
             A[j - 1] = j * (A[j - 1] - A[j])
-        out.append(A[0])
+        out.append(Fraction(A[0], L))
     if n_max >= 1:
         out[1] = -out[1]
     return out
@@ -203,10 +200,9 @@ def harmonic(m: int) -> HarmonicValue:
     """h_m = sum_{r<=m} 1/r, exactly; h_0 = 0."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    h = Fraction(0)
-    for r in range(1, m + 1):
-        h += Fraction(1, r)
-    return HarmonicValue(m, h)
+    for hv in harmonic_sums(m):
+        pass
+    return hv
 
 
 def harmonic_sums(m_max: int) -> Iterator[HarmonicValue]:
@@ -405,41 +401,50 @@ def a_invariant_witness(m_max: int, deep_roots: bool = True) -> Witness | None:
     """
     fm = 1
     for (m, S), hv in zip(stirling_rows(m_max), harmonic_sums(m_max)):
-        h = hv.h
         if m >= 1:
             fm *= m
-        if S[0] != fm:
-            return Witness("a0=1", m, 0, Fraction(S[0], fm), Fraction(1))
-        if m >= 1:
-            # a_1 = h_m  <=>  S[1] * den(h) == num(h) * m!
-            if S[1] * h.denominator != h.numerator * fm:
-                return Witness("a1=h_m", m, 1, Fraction(S[1], fm), h)
-            if S[m] != 1:
-                return Witness("am=1/m!", m, m, Fraction(S[m], fm), Fraction(1, fm))
-        if any(s <= 0 for s in S):
-            j = next(j for j, s in enumerate(S) if s <= 0)
-            return Witness("positivity", m, j, Fraction(S[j], fm), Fraction(0))
-        if deep_roots:
-            for k in range(1, m + 1):
-                v = _row_eval_at_int(S, k)
-                if v != 0:
-                    return Witness("root-vanishing", m, k, Fraction(v, fm), Fraction(0))
-        for j in range(1, m):
-            if S[j] * S[j] < S[j - 1] * S[j + 1]:
-                return Witness(
-                    "log-concavity", m, j, Fraction(S[j] ** 2), Fraction(S[j - 1] * S[j + 1])
-                )
-            # j a_j / a_{j-1} non-increasing:  j S_j^2 >= (j+1) S_{j+1} S_{j-1}
-            if j * S[j] * S[j] < (j + 1) * S[j + 1] * S[j - 1]:
-                return Witness(
-                    "newton-ratio", m, j,
-                    Fraction(j * S[j] ** 2), Fraction((j + 1) * S[j + 1] * S[j - 1]),
-                )
-            # binomial-normalized log-concavity (Newton's inequalities)
-            lhs = S[j] * S[j] * comb(m, j - 1) * comb(m, j + 1)
-            rhs = S[j - 1] * S[j + 1] * comb(m, j) ** 2
-            if lhs < rhs:
-                return Witness("newton-binomial", m, j, Fraction(lhs), Fraction(rhs))
+        witness = _row_witness(m, S, fm, hv.h, deep_roots)
+        if witness is not None:
+            return witness
+    return None
+
+
+def _row_witness(m: int, S: list[int], fm: int, h: Fraction,
+                 deep_roots: bool) -> Witness | None:
+    """The invariants of `a_invariant_witness` for one integer row
+    S = m! a_{m,.}, with fm = m! and h = h_m."""
+    if S[0] != fm:
+        return Witness("a0=1", m, 0, Fraction(S[0], fm), Fraction(1))
+    if m >= 1:
+        # a_1 = h_m  <=>  S[1] * den(h) == num(h) * m!
+        if S[1] * h.denominator != h.numerator * fm:
+            return Witness("a1=h_m", m, 1, Fraction(S[1], fm), h)
+        if S[m] != 1:
+            return Witness("am=1/m!", m, m, Fraction(S[m], fm), Fraction(1, fm))
+    if any(s <= 0 for s in S):
+        j = next(j for j, s in enumerate(S) if s <= 0)
+        return Witness("positivity", m, j, Fraction(S[j], fm), Fraction(0))
+    if deep_roots:
+        for k in range(1, m + 1):
+            v = _row_eval_at_int(S, k)
+            if v != 0:
+                return Witness("root-vanishing", m, k, Fraction(v, fm), Fraction(0))
+    for j in range(1, m):
+        if S[j] * S[j] < S[j - 1] * S[j + 1]:
+            return Witness(
+                "log-concavity", m, j, Fraction(S[j] ** 2), Fraction(S[j - 1] * S[j + 1])
+            )
+        # j a_j / a_{j-1} non-increasing:  j S_j^2 >= (j+1) S_{j+1} S_{j-1}
+        if j * S[j] * S[j] < (j + 1) * S[j + 1] * S[j - 1]:
+            return Witness(
+                "newton-ratio", m, j,
+                Fraction(j * S[j] ** 2), Fraction((j + 1) * S[j + 1] * S[j - 1]),
+            )
+        # binomial-normalized log-concavity (Newton's inequalities)
+        lhs = S[j] * S[j] * comb(m, j - 1) * comb(m, j + 1)
+        rhs = S[j - 1] * S[j + 1] * comb(m, j) ** 2
+        if lhs < rhs:
+            return Witness("newton-binomial", m, j, Fraction(lhs), Fraction(rhs))
     return None
 
 

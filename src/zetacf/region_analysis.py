@@ -788,9 +788,7 @@ def binomial_cf_check(order: int) -> BinomialCfResult:
         N,
     )
 
-    series = tuple(
-        c if isinstance(c, Poly) else Poly([c]) for c in cf.coeffs
-    )
+    series = cf.coeffs
     prod = Poly([1])
     for n in range(1, N + 1):
         if n > 1:
@@ -835,10 +833,9 @@ def positivity_truncation_check(m_max: int) -> PositivityResult:
     first_neg = None
     for mdeg in range(m_max + 1):
         c = cf.coefficient(mdeg)
-        coeffs = c.coeffs if isinstance(c, Poly) else (Fraction(c),)
-        rows.append(tuple(coeffs))
+        rows.append(c.coeffs)
         if first_neg is None:
-            for zdeg, v in enumerate(coeffs):
+            for zdeg, v in enumerate(c.coeffs):
                 if v < 0:
                     first_neg = (mdeg, zdeg)
                     break
@@ -864,8 +861,7 @@ def positivity_genfunc_matrix(m_max: int) -> tuple[tuple[Fraction, ...], ...]:
     rows = []
     for mdeg in range(m_max + 1):
         c = R.coefficient(mdeg)
-        coeffs = list(c.coeffs) if isinstance(c, Poly) else [Fraction(c)]
-        coeffs += [Fraction(0)] * (k_max - len(coeffs))
+        coeffs = list(c.coeffs) + [Fraction(0)] * (k_max - len(c.coeffs))
         rows.append(tuple(coeffs[:k_max]))
     return tuple(rows)
 

@@ -43,13 +43,31 @@ def _invert_unit(x):
     raise TypeError(f"cannot invert coefficient of type {type(x).__name__}")
 
 
+def _add_coeffs(a, b) -> list:
+    """Coefficient-wise sum; the shorter sequence counts as zero past its end."""
+    if len(a) < len(b):
+        a, b = b, a
+    return [x + y for x, y in zip(a, b)] + list(a[len(b):])
+
+
+def _mul_coeffs(a, b, n: int, zero) -> list:
+    """Coefficients 0..n of the product of the coefficient sequences a and b."""
+    out = [zero] * (n + 1)
+    for i, x in enumerate(a[:n + 1]):
+        if x:
+            for j, y in enumerate(b[:n + 1 - i]):
+                if y:
+                    out[i + j] = out[i + j] + x * y
+    return out
+
+
 class Poly:
     """Dense univariate polynomial with Fraction coefficients, ascending order."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=(0,)):
-        cs = [Fraction(c) if isinstance(c, int) else c for c in coeffs]
+        cs = [_as_coeff(c) for c in coeffs]
         while len(cs) > 1 and cs[-1] == 0:
             cs.pop()
         if not cs:
@@ -96,18 +114,10 @@ class Poly:
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            cs = list(self.coeffs)
-            cs[0] = cs[0] + other
-            return Poly(cs)
+            return Poly(_add_coeffs(self.coeffs, (other,)))
         if not isinstance(other, Poly):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        cs = [Fraction(0)] * n
-        for i, c in enumerate(self.coeffs):
-            cs[i] += c
-        for i, c in enumerate(other.coeffs):
-            cs[i] += c
-        return Poly(cs)
+        return Poly(_add_coeffs(self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
@@ -115,36 +125,22 @@ class Poly:
         return Poly([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Poly) else -_as_coeff(other))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return Poly()
             return Poly([c * other for c in self.coeffs])
         if not isinstance(other, Poly):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-        return Poly(out)
+        n = len(self.coeffs) + len(other.coeffs) - 2
+        return Poly(_mul_coeffs(self.coeffs, other.coeffs, n, Fraction(0)))
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / other)
-        return NotImplemented
-
-    # -- evaluation and calculus -------------------------------------------
+    # -- evaluation ---------------------------------------------------------
 
     def __call__(self, x):
         """Horner evaluation; works for any ring value (Fraction, complex, ...)."""
@@ -152,11 +148,6 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def derivative(self) -> "Poly":
-        if len(self.coeffs) == 1:
-            return Poly()
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     # -- normalization ------------------------------------------------------
 
@@ -235,8 +226,8 @@ class PowerSeries:
 
     @classmethod
     def neg_log1m(cls, order: int) -> "PowerSeries":
-        """-log(1-x) = sum x^n / n, obtained by integrating 1/(1-x)."""
-        return cls.geometric(order - 1).integral() if order >= 1 else cls.constant(0, 0)
+        """-log(1-x) = sum x^n / n."""
+        return cls([0] + [Fraction(1, n) for n in range(1, order + 1)], order)
 
     # -- helpers -------------------------------------------------------------
 
@@ -265,18 +256,11 @@ class PowerSeries:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _common_order(self, other: "PowerSeries") -> int:
-        return min(self.order, other.order)
-
     def __add__(self, other):
         if isinstance(other, PowerSeries):
-            n = self._common_order(other)
-            return PowerSeries(
-                [self.coeffs[k] + other.coeffs[k] for k in range(n + 1)], n
-            )
-        cs = list(self.coeffs)
-        cs[0] = cs[0] + _as_coeff(other)
-        return PowerSeries(cs, self.order)
+            n = min(self.order, other.order)
+            return PowerSeries(_add_coeffs(self.coeffs[:n + 1], other.coeffs[:n + 1]), n)
+        return PowerSeries(_add_coeffs(self.coeffs, (_as_coeff(other),)), self.order)
 
     __radd__ = __add__
 
@@ -284,9 +268,7 @@ class PowerSeries:
         return PowerSeries([-c for c in self.coeffs], self.order)
 
     def __sub__(self, other):
-        if isinstance(other, PowerSeries):
-            return self + (-other)
-        return self + (-_as_coeff(other))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -295,18 +277,8 @@ class PowerSeries:
         if not isinstance(other, PowerSeries):
             c = _as_coeff(other)
             return PowerSeries([x * c for x in self.coeffs], self.order)
-        n = self._common_order(other)
-        zero = self._zero_elem()
-        out = [zero] * (n + 1)
-        for i in range(n + 1):
-            a = self.coeffs[i]
-            if not a:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return PowerSeries(out, n)
+        n = min(self.order, other.order)
+        return PowerSeries(_mul_coeffs(self.coeffs, other.coeffs, n, self._zero_elem()), n)
 
     __rmul__ = __mul__
 
@@ -333,12 +305,6 @@ class PowerSeries:
         return PowerSeries(
             [k * self.coeffs[k] for k in range(1, self.order + 1)], self.order - 1
         )
-
-    def integral(self, const=0) -> "PowerSeries":
-        cs = [_as_coeff(const)] + [
-            self.coeffs[k] * Fraction(1, k + 1) for k in range(self.order + 1)
-        ]
-        return PowerSeries(cs, self.order + 1)
 
     def shift(self, k: int) -> "PowerSeries":
         """Multiply by x^k. Negative k divides by x^k and requires the low

@@ -63,7 +63,7 @@ class TestCollapsed:
     def test_g1_constant_numerator(self):
         assert numerator_poly(build_g(1)) == Poly([1])
 
-    @pytest.mark.parametrize("m", [2, 3, 5, 9])
+    @pytest.mark.parametrize("m", [2, 3, 5, 9, 40, 100])
     @pytest.mark.parametrize("builder", [build_g, build_f])
     def test_two_route_evaluation_equality(self, m, builder):
         # partial-fraction evaluation == collapsed numerator / pole product

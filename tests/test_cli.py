@@ -274,6 +274,25 @@ class TestUsageErrors:
             cli.main(["--out", str(tmp_path / "x.json"), "coeffs", "2", "--kind", "a"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["scan", "monotonicity", "abc"],
+        ["scan", "monotonicity", "1..5"],
+        ["scan", "zero", "5", "--rect", "1,0,0,1"],
+        ["scan", "zero", "5", "--rect", "a,b,c,d"],
+        ["scan", "convergence", "--s", "1"],
+        ["scan", "convergence", "--m-list", "x"],
+        ["coeffs", "-1", "--kind", "a"],
+        ["coeffs", "5", "--kind", "sinh", "--r-squared", "x"],
+        ["scan", "worpitzky", "5", "--t-max", "zz"],
+        ["coeffs", "0", "--kind", "sinh", "--r-squared", "1", "--n", "0"],
+    ])
+    def test_malformed_argument_is_usage_error(self, argv, tmp_path, capsys):
+        # any exception other than the parser's exit would escape pytest.raises
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--out", str(tmp_path / "x.json")])
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
     def test_nonpositive_jobs_rejected(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["scan", "worpitzky", "10", "--grid", "3x3", "--jobs", "0"])

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 from math import comb, factorial
 
@@ -5,6 +6,7 @@ import pytest
 
 from zetacf import coeff_core
 from zetacf.coeff_core import (
+    CoeffTable,
     _bernoulli_akiyama_tanigawa,
     _bernoulli_recurrence,
     a_invariant_witness,
@@ -53,6 +55,19 @@ class TestCoeffTable:
     def test_validate_deep(self):
         for m in (0, 1, 5, 17, 30):
             coeff_table(m).validate()
+
+    @pytest.mark.parametrize("j, delta, check", [
+        (0, F(1, 720), "a0=1"),
+        (1, F(1, 720), "a1=h_m"),
+        (6, F(1, 720), "am=1/m!"),
+        (3, F(1, 720), "root-vanishing"),
+        (3, F(1, 1440), "is not an integer"),
+    ])
+    def test_validate_names_failed_check(self, j, delta, check):
+        a = list(coeff_table(6).a)
+        a[j] += delta
+        with pytest.raises(InternalConsistencyError, match=re.escape(check)):
+            CoeffTable(6, tuple(a)).validate()
 
     def test_negative_m_rejected(self):
         with pytest.raises(ValueError):
@@ -115,7 +130,8 @@ class TestHarmonic:
     def test_incremental_matches(self):
         vals = list(harmonic_sums(25))
         for hv in vals:
-            assert hv.h == harmonic(hv.m).h
+            assert hv.h == sum(F(1, r) for r in range(1, hv.m + 1))
+            assert harmonic(hv.m) == hv
 
 
 def c_bruteforce(m: int, bern) -> list[F]:

@@ -29,7 +29,6 @@ class TestPoly:
         p = Poly([1, 2])
         assert 2 * p == Poly([2, 4])
         assert p - 1 == Poly([0, 2])
-        assert (p / 2)(F(1)) == F(3, 2)
 
     def test_primitive_content(self):
         c, prim = Poly([F(11, 12), F(10, 12), F(3, 12)]).primitive()
@@ -37,10 +36,6 @@ class TestPoly:
         assert prim == Poly([11, 10, 3])
         c, prim = Poly([F(-2), F(-4)]).primitive()
         assert c == F(-2) and prim == Poly([1, 2])
-
-    def test_derivative(self):
-        assert Poly([5, 3, 1]).derivative() == Poly([3, 2])
-        assert Poly([7]).derivative() == Poly()
 
 
 class TestPowerSeries:
@@ -61,10 +56,6 @@ class TestPowerSeries:
     def test_log_derivative_identity(self):
         # d/dy (-log(1-y)) = 1/(1-y)
         assert PowerSeries.neg_log1m(10).derivative() == PowerSeries.geometric(9)
-
-    def test_integral_derivative_roundtrip(self):
-        a = PowerSeries([F(3), F(-1), F(5, 7), F(2)], 3)
-        assert a.integral(F(9)).derivative() == a
 
     def test_shift(self):
         a = PowerSeries([1, 2, 3], 2)
