@@ -34,7 +34,7 @@ for m in (0, 3, 5):
     t = coeff_table(m)
     print(f"m={m}: " + ", ".join(frac_str(x) for x in t.a))
 print("a_{m,1} is the harmonic number: a_{5,1} =", coeff_table(5).a[1],
-      "= h_5 =", harmonic(5).h)
+      "= h_5 =", harmonic(5))
 
 show("Structural facts, checked exactly on the way")
 t = coeff_table(12)

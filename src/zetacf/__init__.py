@@ -23,7 +23,6 @@ from .coeff_core import (
     BernoulliTable,
     CoeffTable,
     CSequence,
-    HarmonicValue,
     SinhSeries,
     bernoulli_table,
     c_direct,
@@ -81,7 +80,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "BernoulliTable", "CoeffTable", "CSequence", "HarmonicValue", "SinhSeries",
+    "BernoulliTable", "CoeffTable", "CSequence", "SinhSeries",
     "bernoulli_table", "c_direct", "c_genfunc_oracle", "c_residue_oracle",
     "c_sequences", "coeff_table", "harmonic", "sinh_series",
     "ComplexValue", "ContinuedFraction", "FactorialExpansion", "PartialFraction",

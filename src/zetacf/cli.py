@@ -219,6 +219,8 @@ def _cmd_coeffs(args, cfg: RunConfig, argv: list[str], parser) -> int:
 
 
 def _verify_oracle3(m_max: int) -> tuple[bool, str | None]:
+    if m_max < 1:
+        raise ValueError("m_max must be >= 1")
     for seq in c_sequences(m_max):
         other = c_residue_oracle(seq.m)
         if seq.c != other.c:
@@ -245,13 +247,17 @@ def _verify_genfunc(m_max: int) -> tuple[bool, str | None]:
 
 
 def _verify_sinh(n_terms: int) -> tuple[bool, str | None]:
+    # d[k] = num[k] / den with den > 0, so signs and log-concavity are
+    # decided on the integer row; Fractions are built only for a witness
     for r2 in _SINH_R2:
-        d = sinh_series(r2, n_terms).d
-        for k, v in enumerate(d):
+        s = sinh_series(r2, n_terms)
+        row = s.num
+        for k, v in enumerate(row):
             if v <= 0:
-                return False, f"d[{k}] <= 0 at r^2={frac_str(r2)}: {frac_str(v)}"
-        for k in range(1, len(d) - 1):
-            if d[k] * d[k] < d[k - 1] * d[k + 1]:
+                return False, f"d[{k}] <= 0 at r^2={frac_str(r2)}: {frac_str(s.d[k])}"
+        for k in range(1, len(row) - 1):
+            if row[k] * row[k] < row[k - 1] * row[k + 1]:
+                d = s.d
                 return False, (f"log-concavity fails at r^2={frac_str(r2)}, k={k}: "
                                f"{frac_str(d[k] * d[k])} < {frac_str(d[k - 1] * d[k + 1])}")
     return True, None

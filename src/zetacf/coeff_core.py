@@ -25,7 +25,6 @@ from .series import PowerSeries
 __all__ = [
     "CoeffTable",
     "BernoulliTable",
-    "HarmonicValue",
     "CSequence",
     "SinhSeries",
     "coeff_table",
@@ -67,7 +66,7 @@ class CoeffTable:
         S = [x * fm for x in self.a]
         if any(v.denominator != 1 for v in S):
             raise InternalConsistencyError("m! a[j] is not an integer for every j")
-        witness = _row_witness(m, [v.numerator for v in S], fm, harmonic(m).h, deep_roots=True)
+        witness = _row_witness(m, [v.numerator for v in S], fm, harmonic(m), deep_roots=True)
         if witness is not None:
             raise InternalConsistencyError(str(witness))
 
@@ -190,28 +189,22 @@ def bernoulli_table(n_max: int) -> BernoulliTable:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HarmonicValue:
-    m: int
-    h: Fraction
-
-
-def harmonic(m: int) -> HarmonicValue:
+def harmonic(m: int) -> Fraction:
     """h_m = sum_{r<=m} 1/r, exactly; h_0 = 0."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    for hv in harmonic_sums(m):
+    for h in harmonic_sums(m):
         pass
-    return hv
+    return h
 
 
-def harmonic_sums(m_max: int) -> Iterator[HarmonicValue]:
+def harmonic_sums(m_max: int) -> Iterator[Fraction]:
     """Yield h_0, h_1, ..., h_{m_max} incrementally."""
     h = Fraction(0)
-    yield HarmonicValue(0, h)
+    yield h
     for m in range(1, m_max + 1):
         h += Fraction(1, m)
-        yield HarmonicValue(m, h)
+        yield h
 
 
 # ---------------------------------------------------------------------------
@@ -341,35 +334,51 @@ class SinhSeries:
     """Exact z-expansion coefficients of the truncated sinh kernel.
 
     The kernel r^2 u / sinh^2(r sqrt(u)/2) equals 2 / H(u) with
-    H(u) = sum_{n>=1} r^{2n-2} u^{n-1} / (2n)!. The stored d[k] are the
-    z-coefficients of 2 / H_N(1-z), where H_N is the n_terms-term truncation
-    of H; d[0] is exactly 2 divided by the truncated sum at u = 1.
+    H(u) = sum_{n>=1} r^{2n-2} u^{n-1} / (2n)!. The coefficients d[k] of
+    2 / H_N(1-z), H_N the n_terms-term truncation of H, are held as one
+    integer row over one positive denominator: d[k] = num[k] / den. d[0] is
+    exactly 2 divided by the truncated sum at u = 1.
     """
 
     r_squared: Fraction
-    d: tuple[Fraction, ...]
+    num: tuple[int, ...]
+    den: int
+
+    @property
+    def d(self) -> tuple[Fraction, ...]:
+        """The coefficients as reduced Fractions."""
+        return tuple(Fraction(n, self.den) for n in self.num)
 
 
 def sinh_series(r_squared, n_terms: int) -> SinhSeries:
     """Expand the truncated kernel in z = 1 - u through degree n_terms - 1.
 
-    Pipeline: build the truncated denominator series in u (exact rationals),
-    substitute u = 1 - z exactly (binomial expansion of a polynomial), then
-    invert as a z-power series. r_squared = 0 is the degenerate limit and
-    yields the constant series 4.
+    With r^2 = p/q, N = n_terms and D = (2N)! q^(N-1), the terms
+    h_i = D r^(2i) / (2i+2)! of D H_N(u) are integers, and so are the
+    z-coefficients g_k = (-1)^k sum_{i>=k} C(i,k) h_i of D H_N(1-z). Their
+    inverse is e_k / u^(k+1) with u = g_0 > 0, e_0 = 1 and
+    e_k = -sum_{j=1..k} g_j u^(j-1) e_{k-j}, so d_k = 2 D e_k / u^(k+1),
+    kept over the shared denominator u^N. r_squared = 0 is the degenerate
+    limit and yields the constant series 4.
     """
     r2 = Fraction(r_squared)
     if r2 < 0:
         raise ValueError("r_squared must be >= 0")
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
-    H = PowerSeries(
-        [Fraction(r2**i, factorial(2 * i + 2)) for i in range(n_terms)],
-        n_terms - 1,
-    )
-    Hz = H.compose_affine(1, -1)  # u = 1 - z
-    d = Hz.inverse() * 2
-    return SinhSeries(r2, tuple(d.coeffs))
+    N = n_terms
+    p, q = r2.numerator, r2.denominator
+    f2N = factorial(2 * N)
+    h = [f2N // factorial(2 * i + 2) * p**i * q ** (N - 1 - i) for i in range(N)]
+    g = [sum(comb(i, k) * h[i] for i in range(k, N)) * (-1) ** k for k in range(N)]
+    u = g[0]
+    gu = [0] + [g[j] * u ** (j - 1) for j in range(1, N)]  # g_j u^(j-1)
+    e = [1]
+    for k in range(1, N):
+        e.append(-sum(gu[j] * e[k - j] for j in range(1, k + 1)))
+    two_D = 2 * f2N * q ** (N - 1)
+    num = tuple(two_D * e[k] * u ** (N - 1 - k) for k in range(N))
+    return SinhSeries(r2, num, u**N)
 
 
 # ---------------------------------------------------------------------------
@@ -399,11 +408,13 @@ def a_invariant_witness(m_max: int, deep_roots: bool = True) -> Witness | None:
     Newton's binomial-normalized log-concavity, and the resulting
     non-increase of j a_j / a_{j-1}. All comparisons are integer-exact.
     """
+    if m_max < 0:
+        raise ValueError("m_max must be >= 0")
     fm = 1
-    for (m, S), hv in zip(stirling_rows(m_max), harmonic_sums(m_max)):
+    for (m, S), h in zip(stirling_rows(m_max), harmonic_sums(m_max)):
         if m >= 1:
             fm *= m
-        witness = _row_witness(m, S, fm, hv.h, deep_roots)
+        witness = _row_witness(m, S, fm, h, deep_roots)
         if witness is not None:
             return witness
     return None
@@ -450,6 +461,8 @@ def _row_witness(m: int, S: list[int], fm: int, h: Fraction,
 
 def c_positivity_witness(m_max: int) -> Witness | None:
     """Every c_{m,k} must be strictly positive, for all m <= m_max."""
+    if m_max < 1:
+        raise ValueError("m_max must be >= 1")
     for seq in c_sequences(m_max):
         for k, v in enumerate(seq.c):
             if v <= 0:
@@ -462,6 +475,8 @@ def c1_identity_witness(m_max: int) -> Witness | None:
 
     Verified as a numerical observation, not assumed anywhere else.
     """
+    if m_max < 1:
+        raise ValueError("m_max must be >= 1")
     bernoulli_table(m_max)  # the sweep's largest table, once
     hs = harmonic_sums(m_max + 1)
     next(hs)  # h_0
@@ -469,7 +484,7 @@ def c1_identity_witness(m_max: int) -> Witness | None:
     for m, S in stirling_rows(m_max):
         if m < 1:
             continue
-        h_next = next(hs).h  # h_{m+1}
+        h_next = next(hs)  # h_{m+1}
         row, D = _t_row(m, S)
         c1 = Fraction((m + 1) * sum(row), D)
         expected = Fraction(2 * (m + 1), m + 2) * h_next

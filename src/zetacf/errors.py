@@ -32,12 +32,7 @@ class ZeroDenominatorError(ArithmeticError):
 
 class UncertifiableError(RuntimeError):
     """A scan could not certify its answer (for example, a contour passes too
-    close to a zero at the maximum subdivision depth). Carries any partial
-    result as `payload`."""
-
-    def __init__(self, message: str, payload=None):
-        self.payload = payload
-        super().__init__(message)
+    close to a zero at the maximum subdivision depth)."""
 
 
 class ReferenceAccuracyError(RuntimeError):

@@ -540,15 +540,17 @@ def ratio_bounds_check(m: int) -> RatioBoundsResult:
     and that j a_j/a_{j-1} never increases over the full range."""
     if m < 2:
         raise ValueError("m must be >= 2")
-    return _ratio_bounds_row(m, _stirling_row(m - 1), harmonic(m - 1).h)
+    return _ratio_bounds_row(m, _stirling_row(m - 1), harmonic(m - 1))
 
 
 def ratio_bounds_sweep(m_max: int) -> RatioBoundsResult | None:
     """First failing m <= m_max, or None when every check passes."""
+    if m_max < 2:
+        raise ValueError("m_max must be >= 2")
     for (n, S), h in zip(stirling_rows(m_max - 1), harmonic_sums(m_max - 1)):
         if n + 1 < 2:
             continue
-        res = _ratio_bounds_row(n + 1, S, h.h)
+        res = _ratio_bounds_row(n + 1, S, h)
         if not res.passed:
             return res
     return None
@@ -700,6 +702,8 @@ def c_monotonicity_search(m_from: int, m_to: int) -> list[MonotonicityFinding]:
     records the first offending k with both compared values exact."""
     if m_from < 2:
         raise ValueError("m_from must be >= 2")
+    if m_to < m_from:
+        raise ValueError("m_to must be >= m_from")
     out: list[MonotonicityFinding] = []
     for seq in c_sequences(m_to):
         if seq.m < m_from:

@@ -318,30 +318,6 @@ class PowerSeries:
                 raise ValueError(f"cannot divide by x^{drop}: coefficient {j} is nonzero")
         return PowerSeries(list(self.coeffs[drop:]), self.order - drop)
 
-    def compose_affine(self, const, slope) -> "PowerSeries":
-        """Substitute x <- const + slope * t into the truncation polynomial.
-
-        The substitution treats self as the polynomial sum_{k<=order} c_k x^k,
-        so the result is exact for polynomial inputs (the only use this
-        package makes of it). Returned series has the same order.
-        """
-        n = self.order
-        a = _as_coeff(const)
-        b = _as_coeff(slope)
-        # Horner in (a + b t):  res = c_n; res = res*(a+bt) + c_k; ...
-        res = [self.coeffs[n]]
-        for k in range(n - 1, -1, -1):
-            nxt = [self.coeffs[k] * 0] * (min(len(res) + 1, n + 1))
-            for i, c in enumerate(res):
-                if not c:
-                    continue
-                nxt[i] = nxt[i] + c * a
-                if i + 1 <= n:
-                    nxt[i + 1] = nxt[i + 1] + c * b
-            nxt[0] = nxt[0] + self.coeffs[k]
-            res = nxt
-        return PowerSeries(res, n)
-
     def __repr__(self):
         head = ", ".join(repr(c) for c in self.coeffs[: min(6, len(self.coeffs))])
         tail = ", ..." if self.order > 5 else ""

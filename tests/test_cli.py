@@ -1,10 +1,12 @@
 import hashlib
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from zetacf import cli
+from zetacf.coeff_core import SinhSeries
 
 
 def run_cli(args, tmp_path, name="out.json"):
@@ -65,7 +67,13 @@ class TestCoeffs:
 
 class TestVerify:
     @pytest.mark.parametrize("claim,m", [
+        # each sweep's first row as the bound
+        ("newton", "0"),
         ("lemma1", "2"),
+        ("positivity", "1"),
+        ("c1-identity", "1"),
+        ("oracle3", "1"),
+        ("genfunc", "0"),
         ("lemma1", "60"),
         ("newton", "40"),
         ("positivity", "25"),
@@ -86,6 +94,20 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "nonsense"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("num,witness", [
+        # d = 1/2, 3/4, 3/2: d_1^2 = 9/16 < d_0 d_2 = 3/4
+        ((2, 3, 6), "log-concavity fails at r^2=1/4, k=1: 9/16 < 3/4"),
+        ((2, 0, 6), "d[1] <= 0 at r^2=1/4: 0/1"),
+    ])
+    def test_sinh_failure_witness(self, num, witness, tmp_path, monkeypatch):
+        # the verdict is decided on the integer row; the witness text is exact
+        monkeypatch.setattr(cli, "sinh_series",
+                            lambda r2, n: SinhSeries(Fraction(r2), num, 4))
+        code, out = run_cli(["verify", "logconcave-sinh", "3"], tmp_path)
+        assert code == 1
+        doc = json.loads(out.read_text())
+        assert doc["pass"] is False and doc["witness"] == witness
 
 
 class TestScan:
@@ -285,6 +307,13 @@ class TestUsageErrors:
         ["coeffs", "5", "--kind", "sinh", "--r-squared", "x"],
         ["scan", "worpitzky", "5", "--t-max", "zz"],
         ["coeffs", "0", "--kind", "sinh", "--r-squared", "1", "--n", "0"],
+        # sweep bounds below the first checked row, which would check nothing
+        ["verify", "newton", "-3"],
+        ["verify", "lemma1", "1"],
+        ["verify", "positivity", "0"],
+        ["verify", "c1-identity", "0"],
+        ["verify", "oracle3", "0"],
+        ["scan", "monotonicity", "5..3"],
     ])
     def test_malformed_argument_is_usage_error(self, argv, tmp_path, capsys):
         # any exception other than the parser's exit would escape pytest.raises

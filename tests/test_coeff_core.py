@@ -24,7 +24,7 @@ from zetacf.coeff_core import (
     sinh_series,
 )
 from zetacf.errors import InternalConsistencyError
-from zetacf.series import Poly
+from zetacf.series import Poly, PowerSeries
 
 
 def product_poly_coeffs(m: int) -> list[F]:
@@ -123,15 +123,14 @@ class TestBernoulli:
 
 class TestHarmonic:
     def test_goldens(self):
-        assert harmonic(0).h == 0
-        assert harmonic(3).h == F(11, 6)
-        assert harmonic(10).h == sum(F(1, r) for r in range(1, 11)) == F(7381, 2520)
+        assert harmonic(0) == 0
+        assert harmonic(3) == F(11, 6)
+        assert harmonic(10) == sum(F(1, r) for r in range(1, 11)) == F(7381, 2520)
 
     def test_incremental_matches(self):
-        vals = list(harmonic_sums(25))
-        for hv in vals:
-            assert hv.h == sum(F(1, r) for r in range(1, hv.m + 1))
-            assert harmonic(hv.m) == hv
+        for m, h in enumerate(harmonic_sums(25)):
+            assert h == sum(F(1, r) for r in range(1, m + 1))
+            assert harmonic(m) == h
 
 
 def c_bruteforce(m: int, bern) -> list[F]:
@@ -155,7 +154,7 @@ class TestCSequence:
     def test_m2_golden(self):
         seq = c_direct(2)
         assert seq.c[1] == F(11, 4)
-        assert seq.c[1] == 2 * F(3, 4) * harmonic(3).h
+        assert seq.c[1] == 2 * F(3, 4) * harmonic(3)
 
     @pytest.mark.parametrize("m", [3, 4, 5, 8, 11, 16, 20])
     def test_matches_bruteforce(self, m, bern520):
@@ -225,6 +224,17 @@ class TestSinhSeries:
         d = sinh_series(r2, 30).d
         assert all(x > 0 for x in d)
         assert all(d[k] * d[k] >= d[k - 1] * d[k + 1] for k in range(1, len(d) - 1))
+
+    @pytest.mark.parametrize("r2", [F(0), F(1, 4), F(1), F(3, 7), F(100)])
+    @pytest.mark.parametrize("n", [1, 2, 8, 30])
+    def test_matches_fraction_inverse(self, r2, n):
+        # reference: H_N(1-z) by the binomial sum, inverted as a Fraction series
+        h = [r2**i / factorial(2 * i + 2) for i in range(n)]
+        Hz = PowerSeries([(-1) ** k * sum(comb(i, k) * h[i] for i in range(k, n))
+                          for k in range(n)], n - 1)
+        s = sinh_series(r2, n)
+        assert s.d == (Hz.inverse() * 2).coeffs
+        assert s.den > 0 and len(s.num) == n
 
     def test_bad_args(self):
         with pytest.raises(ValueError):

@@ -70,13 +70,6 @@ class TestPowerSeries:
         with pytest.raises(TruncationOrderError):
             a.truncate(5)
 
-    def test_compose_affine_matches_binomial(self):
-        # p(u) = (1+u)^3 composed with u = 1 - z gives (2 - z)^3
-        p = PowerSeries([1, 3, 3, 1], 3)
-        q = p.compose_affine(1, -1)
-        expect = [F(8), F(-12), F(6), F(-1)]
-        assert list(q.coeffs) == expect
-
     def test_poly_coefficient_series(self):
         # series over Q[t]: (c0 + c1 y) * inverse works when c0 is a constant poly
         a = PowerSeries([Poly([2]), Poly([-1, 1])], 4)
