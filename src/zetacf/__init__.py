@@ -74,7 +74,7 @@ from .region_analysis import (
     zero_scan,
     zeta_reference,
 )
-from .series import Poly, PowerSeries, TruncationOrderError
+from .series import Poly, PowerSeries
 
 __version__ = "0.1.0"
 
@@ -94,5 +94,5 @@ __all__ = [
     "binomial_cf_check", "c_monotonicity_search", "convergence_probe",
     "half_sqrt_log_lower", "positivity_truncation_check", "prop1_scan",
     "ratio_bounds_check", "worpitzky_margin", "zero_scan", "zeta_reference",
-    "Poly", "PowerSeries", "TruncationOrderError",
+    "Poly", "PowerSeries",
 ]

@@ -442,24 +442,29 @@ def eval_cf(cf: ContinuedFraction, s, depth: int | None = None,
     return CFEvaluation(cv, depth + 1, convergents, denominators, width)
 
 
+def _convergents(pairs):
+    """Yield (A_k, B_k), k = 1, 2, ..., for the continued fraction
+    a_1/(b_1 + a_2/(b_2 + ...)) given its (a_k, b_k) from the top, by the
+    three-term recurrence A_k = b_k A_{k-1} + a_k A_{k-2}, and the same for
+    B_k, from A_{-1} = 1, A_0 = 0, B_{-1} = 0, B_0 = 1. The values may be
+    numbers or truncated power series; A_k / B_k is the k-th convergent."""
+    A_prev2, A_prev, B_prev2, B_prev = 1, 0, 0, 1
+    for a, b in pairs:
+        A_prev2, A_prev = A_prev, b * A_prev + a * A_prev2
+        B_prev2, B_prev = B_prev, b * B_prev + a * B_prev2
+        yield A_prev, B_prev
+
+
 def _cf_forward(levels, s):
-    """Forward recurrence: A_n = den_n A_{n-1} + num_n A_{n-2}, same for B_n.
-    Returns (convergent values, denominator values)."""
-    A_prev2, A_prev = 1, 0 * s  # A_{-1}, A_0 (b_0 = 0)
-    B_prev2, B_prev = 0 * s, 1
+    """Convergent values and their denominators B_n, by the forward
+    recurrence of `_convergents`."""
     convergents = []
     denominators = []
-    for lv in levels:
-        a = lv.num(s)
-        b = lv.den(s)
-        A = b * A_prev + a * A_prev2
-        B = b * B_prev + a * B_prev2
+    for A, B in _convergents((lv.num(s), lv.den(s)) for lv in levels):
         if _is_exact_zero(B):
             raise ZeroDenominatorError(len(convergents))
         convergents.append(A / B)
         denominators.append(B)
-        A_prev2, A_prev = A_prev, A
-        B_prev2, B_prev = B_prev, B
     return tuple(convergents), tuple(denominators)
 
 

@@ -189,8 +189,10 @@ def _cmd_coeffs(args, cfg: RunConfig, argv: list[str], parser) -> int:
     kind = args.kind
     if kind == "sinh" and args.r_squared is None:
         parser.error("--r-squared is required when kind is sinh")
-    if kind != "sinh" and args.r_squared is not None:
-        parser.error("--r-squared only applies to kind sinh")
+    if kind != "sinh" and (args.r_squared is not None or args.n is not None):
+        parser.error("--r-squared and --n only apply to kind sinh")
+    if kind == "sinh" and args.m != 0:
+        parser.error("kind sinh takes m = 0")
     with _usage_errors(parser):
         if kind == "a":
             values = coeff_table(args.m).a
@@ -488,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p_coeffs = leaf(sub, "coeffs", help="emit an exact coefficient table")
-    p_coeffs.add_argument("m", type=int)
+    p_coeffs.add_argument("m", type=int, help="m (n_max for bernoulli, 0 for sinh)")
     p_coeffs.add_argument("--kind", choices=("a", "c", "bernoulli", "sinh"), required=True)
     p_coeffs.add_argument("--r-squared", type=_rational, default=None,
                           help="rational r^2 (sinh only)")

@@ -109,6 +109,22 @@ def int_ratio_float(a: int, b: int) -> float:
     return a / b if b else math.inf
 
 
+def fraction_sqrt_float(q: Fraction) -> float:
+    """sqrt(q) as a float for a nonnegative Fraction of any size; inf where
+    it exceeds the double range. For q >= 1 it lies within
+    SQRT_REL * sqrt(q) of sqrt(q)."""
+    n, d = q.numerator, q.denominator
+    if n == 0:
+        return 0.0
+    e = n.bit_length() - d.bit_length()
+    e -= e % 2
+    r = int_ratio_float(n, d << e) if e >= 0 else int_ratio_float(n << (-e), d)
+    try:
+        return math.ldexp(math.sqrt(r), e // 2)
+    except OverflowError:
+        return math.inf
+
+
 def int_ratio_rel_error(kept: float) -> float:
     """Bound on |int_ratio_float(a, b) - a/b| / (a/b) for positive ints
     whose smaller operand keeps an integer >= kept after the shift (kept is
@@ -131,15 +147,27 @@ def ratio_window(q_hat: float) -> float:
 
 WINDOW_UNDER_HALF = 2.0 ** 48  # ratio_window(q_hat) < 1/2 for q_hat up to this
 
+# fraction_sqrt_float divides operands whose lengths differ by at most one
+# bit, so the smaller keeps an integer >= 2^51 after int_ratio_float's shift;
+# the square root then rounds once, and scaling by 2^(e/2) is exact for q >= 1.
+_R = Fraction(U) + (1 + Fraction(U)) / 2 ** 51  # int_ratio_rel_error(2^51), exactly
+SQRT_REL = _float_up((1 + _R) * (1 + Fraction(U)) - 1)
+
 
 def margin_error_bound(q: Fraction, num: int, den: int, ratio: float,
                        margin: float) -> float:
     """Bound on |margin - (sqrt(q) - 4)| for q = num/den, ratio =
     int_ratio_float(num, den) and margin = sqrt(ratio) - 4 in doubles: the
     error of ratio from the bits int_ratio_float keeps, then the roundings
-    of the square root and of the subtraction."""
-    if not math.isfinite(ratio):
-        return math.inf
+    of the square root and of the subtraction.
+
+    Where ratio is inf (q >= 2^52), margin = fraction_sqrt_float(q) - 4
+    instead: that root r lies within SQRT_REL sqrt(q) of sqrt(q), and
+    sqrt(q) <= r / (1 - SQRT_REL) with r <= (|margin| + 4)(1 + U); the
+    factor 1 + 2^-40 covers those quotients and this arithmetic's own
+    roundings."""
+    if math.isinf(ratio):
+        return ((abs(margin) + 4.0) * SQRT_REL + U * abs(margin)) * (1 + 2.0 ** -40)
     q_up = _float_up(q)  # q < 2^53: the shifted den is >= 1
     root = math.sqrt(ratio)
     if ratio == 0:  # the shifted num is 0

@@ -26,7 +26,7 @@ from math import factorial
 
 import mpmath as mp
 
-from .approx_eval import _pf_value_at_prec, _to_mpc, build_f, build_g
+from .approx_eval import _convergents, _pf_value_at_prec, _to_mpc, build_f, build_g
 from .coeff_core import (
     _stirling_row,
     bernoulli_table,
@@ -41,6 +41,7 @@ from .float_filter import (
     PASS_AT,
     WINDOW_UNDER_HALF,
     filter_values,
+    fraction_sqrt_float,
     int_ratio_float,
     margin_error_bound,
     normal_ratio,
@@ -304,8 +305,9 @@ def worpitzky_margin(m: int, s) -> MarginResult:
 
     Any dyadic or rational s is converted exactly, so the pass/fail decision
     and the reported squared margin are exact. The float margin comes from
-    the exact pair through `int_ratio_float` and a square root;
-    `float_error_bound` bounds its distance from sqrt(margin_sq + 16) - 4.
+    the exact pair through `int_ratio_float` and a square root, or, where
+    that ratio overflows, from margin_sq itself; `float_error_bound` bounds
+    its distance from sqrt(margin_sq + 16) - 4.
     """
     ctx = _margin_context(m)
     sigma, t = _rationalize_point(s)
@@ -323,9 +325,14 @@ def worpitzky_margin(m: int, s) -> MarginResult:
 
 
 def _margin_fields(ctx: _MarginContext, found) -> tuple[float, Fraction, int, bool]:
-    """(margin, margin_sq, argmin_k, passed) from the tuple of `_point_margin`."""
+    """(margin, margin_sq, argmin_k, passed) from the tuple of `_point_margin`.
+
+    Where the pair's int_ratio_float value is inf (|E_k|^2 >= 2^52), the
+    root is taken from the exact |E_k|^2 instead."""
     all_pass, k_min, ratio, num, den, *_ = found
-    return math.sqrt(max(ratio, 0.0)) - 4.0, ctx.exact_sq(k_min, num, den) - 16, k_min, all_pass
+    q = ctx.exact_sq(k_min, num, den)
+    root = fraction_sqrt_float(q) if math.isinf(ratio) else math.sqrt(max(ratio, 0.0))
+    return root - 4.0, q - 16, k_min, all_pass
 
 
 @dataclass(frozen=True)
@@ -572,20 +579,6 @@ class ZeroScanResult:
     certified: bool
 
 
-def _fraction_sqrt_float(q: Fraction) -> float:
-    """sqrt of a nonnegative Fraction as a float, safe for huge values."""
-    n, d = q.numerator, q.denominator
-    if n == 0:
-        return 0.0
-    e = n.bit_length() - d.bit_length()
-    e -= e % 2
-    r = int_ratio_float(n, d << e) if e >= 0 else int_ratio_float(n << (-e), d)
-    try:
-        return math.ldexp(math.sqrt(r), e // 2)
-    except OverflowError:
-        return math.inf
-
-
 def _atan2_fractions(y: Fraction, x: Fraction) -> float:
     a = y.numerator * x.denominator
     b = x.numerator * y.denominator
@@ -670,7 +663,7 @@ def zero_scan(poly: Poly, rectangle, initial_per_edge: int = 16,
     return ZeroScanResult(
         rectangle=(s_lo, s_hi, t_lo, t_hi),
         winding_number=winding,
-        boundary_min_modulus=_fraction_sqrt_float(min_sq),
+        boundary_min_modulus=fraction_sqrt_float(min_sq),
         boundary_min_modulus_sq=min_sq,
         samples=samples,
         subdivisions=subdivisions,
@@ -751,19 +744,20 @@ class BinomialCfResult:
 
 
 def _series_cf(levels, order: int) -> PowerSeries:
-    """Bottom-up expansion, through y^order, of the continued fraction
+    """Expansion, through y^order, of the continued fraction
 
         num_1 y^e_1 / (den_1(y) - num_2 y^e_2 / (den_2(y) - ...))
 
     given as levels (den_coeffs, num, e) listed from the top. Coefficients
-    are polynomials in a second variable."""
-    acc = None
-    for den_coeffs, num, shift in reversed(levels):
-        den = PowerSeries(den_coeffs, order)
-        if acc is not None:
-            den = den - acc
-        acc = (den.inverse() * num).shift(shift).truncate(order)
-    return acc
+    are polynomials in a second variable. The convergent recurrence runs on
+    series truncated at y^order, then B_n is inverted once: truncation is a
+    ring homomorphism and B_n(0), the product of the den_k(0), is a unit, so
+    every coefficient is exact."""
+    pairs = [(PowerSeries([num * 0] * e + [num if k == 0 else -num], order),
+              PowerSeries(den_coeffs, order))
+             for k, (den_coeffs, num, e) in enumerate(levels)]
+    *_, (A, B) = _convergents(pairs)
+    return A * B.inverse()
 
 
 def _two_minus_y(k: int) -> list[Poly]:

@@ -23,9 +23,6 @@ __all__ = [
     "parse_frac",
     "decimal30",
     "table_payload",
-    "partial_fraction_payload",
-    "expansion_payload",
-    "continued_fraction_payload",
     "worpitzky_rows",
     "worpitzky_payload",
     "zero_scan_payload",
@@ -83,38 +80,6 @@ def table_payload(kind: str, index_name: str, values, extra: dict | None = None)
     if extra:
         payload.update(extra)
     return payload
-
-
-def partial_fraction_payload(pf) -> dict:
-    return {
-        "schema": SCHEMA,
-        "kind": f"partial_fraction_{pf.kind}" if pf.kind else "partial_fraction",
-        "m": pf.m,
-        "terms": [{"pole": p, "residue": frac_str(r)} for p, r in pf.terms],
-    }
-
-
-def expansion_payload(exp) -> dict:
-    return {
-        "schema": SCHEMA,
-        "kind": f"factorial_expansion_{exp.kind}",
-        "m": exp.m,
-        "terms": [frac_str(t) for t in exp.terms],
-    }
-
-
-def continued_fraction_payload(cf) -> dict:
-    def lin(p):
-        c = list(p.coeffs) + [Fraction(0)] * (2 - len(p.coeffs))
-        return {"const": frac_str(c[0]), "slope": frac_str(c[1])}
-
-    return {
-        "schema": SCHEMA,
-        "kind": f"continued_fraction_{cf.kind}",
-        "m": cf.m,
-        "depth": cf.depth,
-        "levels": [{"num": lin(lv.num), "den": lin(lv.den)} for lv in cf.levels],
-    }
 
 
 def worpitzky_rows(report):

@@ -10,11 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-__all__ = ["Poly", "PowerSeries", "TruncationOrderError"]
-
-
-class TruncationOrderError(ValueError):
-    """Raised when a requested truncation order cannot give exact results."""
+__all__ = ["Poly", "PowerSeries"]
 
 
 def _as_coeff(x):
@@ -236,13 +232,6 @@ class PowerSeries:
 
     def coefficient(self, k):
         return self.coeffs[k] if 0 <= k <= self.order else self._zero_elem()
-
-    def truncate(self, order: int) -> "PowerSeries":
-        if order > self.order:
-            raise TruncationOrderError(
-                f"cannot extend truncation from {self.order} to {order} exactly"
-            )
-        return PowerSeries(self.coeffs[: order + 1], order)
 
     def __eq__(self, other):
         if not isinstance(other, PowerSeries):

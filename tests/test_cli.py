@@ -150,8 +150,11 @@ class TestScan:
         doc = json.loads(out.read_text(), parse_constant=reject)
         assert doc["all_pass"] is True
         assert [p["argmin_k"] for p in doc["points"]] == [1, 2, 1]
-        # the far points' float margins are infinite: written as null
-        assert [p["margin"] is None for p in doc["points"]] == [True, False, True]
+        # the far points' pair ratios overflow a double, but their margins
+        # (about 4.76e8) do not: taken from margin_sq, they are finite
+        margins = [p["margin"] for p in doc["points"]]
+        assert margins[0] == margins[2] and 4.7e8 < margins[0] < 4.8e8
+        assert doc["global_min_margin"] == margins[1] < 4
 
     def test_worpitzky_csv_schema(self, tmp_path):
         out = tmp_path / "w.csv"
@@ -314,6 +317,11 @@ class TestUsageErrors:
         ["verify", "c1-identity", "0"],
         ["verify", "oracle3", "0"],
         ["scan", "monotonicity", "5..3"],
+        # --n only sizes the sinh kernel, whose table takes no m
+        ["coeffs", "5", "--kind", "a", "--n", "3"],
+        ["coeffs", "5", "--kind", "bernoulli", "--n", "3"],
+        ["coeffs", "-7", "--kind", "sinh", "--r-squared", "1", "--n", "2"],
+        ["coeffs", "3", "--kind", "sinh", "--r-squared", "1"],
     ])
     def test_malformed_argument_is_usage_error(self, argv, tmp_path, capsys):
         # any exception other than the parser's exit would escape pytest.raises

@@ -31,7 +31,7 @@ from zetacf.region_analysis import (
     zero_scan,
     zeta_reference,
 )
-from zetacf.series import Poly
+from zetacf.series import Poly, PowerSeries
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -231,7 +231,8 @@ def test_margin_far_out():
         a = coeff_table(m - 1).a
         q = [_oracle_sq(a, sigma, t, k) for k in range(1, m - 1)]
         assert (r.argmin_k, r.passed, r.margin_sq) == (1 + q.index(min(q)), min(q) >= 16, min(q) - 16)
-        assert math.isfinite(r.float_error_bound) == math.isfinite(r.margin)
+        # where the pair's float ratio overflows, the margin comes from margin_sq
+        assert math.isfinite(r.margin) and math.isfinite(r.float_error_bound)
         with mp.workprec(300):
             q = r.margin_sq + 16
             exact = mp.sqrt(mp.mpf(q.numerator) / q.denominator) - 4
@@ -436,11 +437,54 @@ class TestPositivity:
         assert res.cf_coefficients[1][1] == F(1, 6)  # zy/(3(2-y)) leading term z y/6
 
     def test_pipeline_reproduces_genfunc(self):
-        got = positivity_genfunc_matrix(14)
-        want = c_genfunc_oracle(14)
-        for m in range(15):
-            for t in range(len(want[m])):
-                assert got[m][t] == want[m][t], (m, t)
+        for m_max in (14, 30):
+            got = positivity_genfunc_matrix(m_max)
+            want = c_genfunc_oracle(m_max)
+            for m in range(m_max + 1):
+                for t in range(len(want[m])):
+                    assert got[m][t] == want[m][t], (m_max, m, t)
+
+
+def _series_cf_by_levels(levels, order: int) -> PowerSeries:
+    """The series continued fraction expanded bottom-up, one series inversion
+    per level, truncated to y^order after each: the reference route."""
+    acc = None
+    for den_coeffs, num, shift in reversed(levels):
+        den = PowerSeries(den_coeffs, order)
+        if acc is not None:
+            den = den - acc
+        acc = PowerSeries((den.inverse() * num).shift(shift).coeffs[:order + 1], order)
+    return acc
+
+
+class TestSeriesCfReference:
+    """`_series_cf` (convergent recurrence, one division) against the
+    per-level route. The reference runs once at the deepest order: level k
+    changes the continued fraction only from y^(2k-1) on, so the levels
+    each smaller order uses give the same coefficients through that order,
+    and every smaller result must be a prefix of the deepest one."""
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ra, "_series_cf", _series_cf_by_levels)
+            return positivity_truncation_check(40), binomial_cf_check(30)
+
+    def test_positivity_matches_reference(self, reference):
+        ref = reference[0]
+        assert ref.passed
+        for m in range(2, 41):
+            res = positivity_truncation_check(m)
+            assert res.cf_coefficients == ref.cf_coefficients[:m + 1], m
+            assert res.passed
+
+    def test_binomial_matches_reference(self, reference):
+        ref = reference[1]
+        assert ref.passed
+        for order in range(4, 31):
+            res = binomial_cf_check(order)
+            assert res.series == ref.series[:order + 1], order
+            assert res.passed
 
 
 class TestZetaReference:

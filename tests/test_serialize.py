@@ -4,18 +4,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from zetacf.approx_eval import build_g, euler_cf, g_expansion
 from zetacf.coeff_core import coeff_table
 from zetacf.serialize import (
     SCHEMA,
-    continued_fraction_payload,
     decimal30,
     dump_csv,
     dump_json,
-    expansion_payload,
     frac_str,
     parse_frac,
-    partial_fraction_payload,
     table_payload,
     zero_scan_payload,
 )
@@ -52,22 +48,6 @@ def test_table_payload_shape():
     assert p["schema"] == SCHEMA
     assert p["m"] == 3
     assert p["rows"][1] == {"index": 1, "value": "11/6", "decimal": decimal30(F(11, 6))}
-
-
-def test_pf_and_expansion_payloads():
-    pf = build_g(3)
-    q = partial_fraction_payload(pf)
-    assert q["terms"][0] == {"pole": 1, "residue": "1/1"}
-    e = expansion_payload(g_expansion(3))
-    assert e["terms"] == ["1/1", "3/1", "3/1"]
-
-
-def test_cf_payload_levels_linear():
-    cf = euler_cf(g_expansion(3))
-    p = continued_fraction_payload(cf)
-    assert p["depth"] == 2
-    lvl = p["levels"][0]
-    assert set(lvl["num"]) == {"const", "slope"}
 
 
 def test_dump_json_deterministic_with_header():

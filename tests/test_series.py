@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from zetacf.qcomplex import QComplex
-from zetacf.series import Poly, PowerSeries, TruncationOrderError
+from zetacf.series import Poly, PowerSeries
 
 
 class TestPoly:
@@ -64,11 +64,6 @@ class TestPowerSeries:
         assert up.shift(-2) == a
         with pytest.raises(ValueError):
             a.shift(-1)  # constant term nonzero
-
-    def test_truncate_cannot_extend(self):
-        a = PowerSeries([1, 2], 1)
-        with pytest.raises(TruncationOrderError):
-            a.truncate(5)
 
     def test_poly_coefficient_series(self):
         # series over Q[t]: (c0 + c1 y) * inverse works when c0 is a constant poly
