@@ -66,17 +66,6 @@ EXIT_UNCERTIFIABLE = 3
 
 CONFIG_PATH = "zetacf.json"
 
-_CLAIMS = (
-    "lemma1",
-    "newton",
-    "positivity",
-    "oracle3",
-    "genfunc",
-    "binomial-cf",
-    "c1-identity",
-    "logconcave-sinh",
-)
-
 _SINH_R2 = (Fraction(1, 4), Fraction(1), Fraction(100), Fraction(10000))
 
 
@@ -220,35 +209,44 @@ def _cmd_coeffs(args, cfg: RunConfig, argv: list[str], parser) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _verify_oracle3(m_max: int) -> tuple[bool, str | None]:
+def _verify_lemma1(m_max: int) -> str | None:
+    res = ratio_bounds_sweep(m_max)
+    return None if res is None else f"m={res.m}: {res.witness}"
+
+
+def _verify_oracle3(m_max: int) -> str | None:
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     for seq in c_sequences(m_max):
         other = c_residue_oracle(seq.m)
         if seq.c != other.c:
             k = next(k for k in range(len(seq.c)) if seq.c[k] != other.c[k])
-            return False, (f"residue oracle mismatch at m={seq.m}, k={k}: "
-                           f"{frac_str(seq.c[k])} vs {frac_str(other.c[k])}")
-    ok, witness = _verify_genfunc(min(m_max, 30))
-    return ok, witness
+            return (f"residue oracle mismatch at m={seq.m}, k={k}: "
+                    f"{frac_str(seq.c[k])} vs {frac_str(other.c[k])}")
+    return _verify_genfunc(min(m_max, 30))
 
 
-def _verify_genfunc(m_max: int) -> tuple[bool, str | None]:
+def _verify_genfunc(m_max: int) -> str | None:
     matrix = c_genfunc_oracle(m_max)
     if matrix[0][0] != 1:
-        return False, f"constant term is {frac_str(matrix[0][0])}, not 1"
+        return f"constant term is {frac_str(matrix[0][0])}, not 1"
     for seq in c_sequences(m_max):
         m = seq.m
         for k in range(1, len(seq.c)):
             want = seq.c[k] / (m + 1)
             got = matrix[m][k - 1] if k - 1 < len(matrix[m]) else Fraction(0)
             if want != got:
-                return False, (f"generating function mismatch at m={m}, k={k}: "
-                               f"{frac_str(got)} vs c/(m+1) = {frac_str(want)}")
-    return True, None
+                return (f"generating function mismatch at m={m}, k={k}: "
+                        f"{frac_str(got)} vs c/(m+1) = {frac_str(want)}")
+    return None
 
 
-def _verify_sinh(n_terms: int) -> tuple[bool, str | None]:
+def _verify_binomial_cf(m_max: int) -> str | None:
+    res = binomial_cf_check(m_max)
+    return None if res.passed else f"first mismatch at y^{res.first_mismatch}"
+
+
+def _verify_sinh(n_terms: int) -> str | None:
     # d[k] = num[k] / den with den > 0, so signs and log-concavity are
     # decided on the integer row; Fractions are built only for a witness
     for r2 in _SINH_R2:
@@ -256,51 +254,38 @@ def _verify_sinh(n_terms: int) -> tuple[bool, str | None]:
         row = s.num
         for k, v in enumerate(row):
             if v <= 0:
-                return False, f"d[{k}] <= 0 at r^2={frac_str(r2)}: {frac_str(s.d[k])}"
+                return f"d[{k}] <= 0 at r^2={frac_str(r2)}: {frac_str(s.d[k])}"
         for k in range(1, len(row) - 1):
             if row[k] * row[k] < row[k - 1] * row[k + 1]:
                 d = s.d
-                return False, (f"log-concavity fails at r^2={frac_str(r2)}, k={k}: "
-                               f"{frac_str(d[k] * d[k])} < {frac_str(d[k - 1] * d[k + 1])}")
-    return True, None
+                return (f"log-concavity fails at r^2={frac_str(r2)}, k={k}: "
+                        f"{frac_str(d[k] * d[k])} < {frac_str(d[k - 1] * d[k + 1])}")
+    return None
+
+
+# claim -> (default m_max, check returning None or the first counterexample,
+# whose str is the witness text). The library sweeps are looked up by name
+# when called, so a sweep patched into this module (a tracer, a test) runs.
+_CLAIMS = {
+    "lemma1": (500, _verify_lemma1),
+    "newton": (200, lambda m: a_invariant_witness(m, deep_roots=False)),
+    "positivity": (100, lambda m: c_positivity_witness(m)),
+    "oracle3": (60, _verify_oracle3),
+    "genfunc": (30, _verify_genfunc),
+    "binomial-cf": (12, _verify_binomial_cf),
+    "c1-identity": (500, lambda m: c1_identity_witness(m)),
+    "logconcave-sinh": (60, _verify_sinh),
+}
 
 
 def _cmd_verify(args, cfg: RunConfig, argv: list[str], parser) -> int:
     claim = args.claim
-    m_default = {
-        "lemma1": 500, "newton": 200, "positivity": 100, "oracle3": 60,
-        "genfunc": 30, "binomial-cf": 12, "c1-identity": 500, "logconcave-sinh": 60,
-    }[claim]
+    m_default, check = _CLAIMS[claim]
     m_max = args.m_max if args.m_max is not None else m_default
-    witness = None
     with _usage_errors(parser):
-        if claim == "lemma1":
-            res = ratio_bounds_sweep(m_max)
-            passed = res is None
-            if res is not None:
-                witness = f"m={res.m}: {res.witness}"
-        elif claim == "newton":
-            w = a_invariant_witness(m_max, deep_roots=False)
-            passed = w is None
-            witness = str(w) if w else None
-        elif claim == "positivity":
-            w = c_positivity_witness(m_max)
-            passed = w is None
-            witness = str(w) if w else None
-        elif claim == "oracle3":
-            passed, witness = _verify_oracle3(m_max)
-        elif claim == "genfunc":
-            passed, witness = _verify_genfunc(m_max)
-        elif claim == "binomial-cf":
-            res = binomial_cf_check(m_max)
-            passed = res.passed
-            witness = None if passed else f"first mismatch at y^{res.first_mismatch}"
-        elif claim == "c1-identity":
-            w = c1_identity_witness(m_max)
-            passed = w is None
-            witness = str(w) if w else None
-        else:  # logconcave-sinh
-            passed, witness = _verify_sinh(m_max)
+        found = check(m_max)
+    passed = found is None
+    witness = None if passed else str(found)
     payload = {
         "schema": SCHEMA,
         "kind": "verify",
@@ -497,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_coeffs.add_argument("--n", type=int, default=None, help="number of terms (sinh only)")
 
     p_verify = leaf(sub, "verify", help="run an exact verification sweep")
-    p_verify.add_argument("claim", choices=_CLAIMS)
+    p_verify.add_argument("claim", choices=tuple(_CLAIMS))
     p_verify.add_argument("m_max", type=int, nargs="?", default=None)
 
     p_scan = sub.add_parser("scan", help="strip / zero / convergence / monotonicity scans")

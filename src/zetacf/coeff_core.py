@@ -219,10 +219,6 @@ class CSequence:
     m: int
     c: tuple[Fraction, ...]
 
-    @property
-    def k_max(self) -> int:
-        return len(self.c) - 1
-
 
 def _t_row(m: int, S: list[int]) -> tuple[list[int], int]:
     """T_j = a_{m,2j} (1-2j) B_{2j}, j = 0..m/2, as integers over one

@@ -26,9 +26,10 @@ once per point, as d grows with j) or q_hat (checked per k); subnormal or
 non-finite inputs are not filtered at all. (Higham, Accuracy and Stability
 of Numerical Algorithms, 2nd ed., sections 2.2-3.1.)
 
-The integers behind each verdict and margin stay in `region_analysis`; this
-module only says when doubles suffice, and how far a reported float ratio
-or margin can lie from its exact value.
+The integers behind each verdict, argmin and margin stay in
+`region_analysis`; this module only says when doubles suffice, where an
+exact value can lie, and how far a reported float margin can lie from its
+exact value. No float here orders anything.
 """
 
 from __future__ import annotations
@@ -60,6 +61,10 @@ _LOSS = Fraction(39, 2 ** 53) + Fraction(1, 2 ** 1000)  # 39u + beta
 FILTER_REL = _float_up(_LOSS / (1 - _LOSS))
 PASS_AT = _float_up(16 / (1 - _LOSS))  # q_hat >= this proves q >= 16
 FAIL_BELOW = _float_down(16 * (1 - _LOSS))  # q_hat < this proves q < 16
+# q_hat * LOW_END <= q_hat (1 - FILTER_REL) and q_hat * HIGH_END >=
+# q_hat (1 + FILTER_REL) hold before the product rounds
+LOW_END = _float_down(1 - Fraction(FILTER_REL))
+HIGH_END = _float_up(1 + Fraction(FILTER_REL))
 
 
 def normal_ratio(p: int, q: int) -> float:
@@ -135,18 +140,6 @@ def int_ratio_rel_error(kept: float) -> float:
     return U + (1.0 + U) / kept if kept > 0 else math.inf
 
 
-def ratio_window(q_hat: float) -> float:
-    """Relative half-width of an interval around a filtered q_hat >= 1 that
-    holds int_ratio_float of the exact pair: the filter error plus the
-    error of int_ratio_float at q <= q_hat (1 + FILTER_REL), where the
-    larger operand keeps 53 bits and the smaller one at least 2^52/q - 1.
-    Doubled to cover the rounding of this arithmetic."""
-    kept = 2.0 ** 52 / (q_hat * (1 + FILTER_REL)) - 1.0
-    return 2 * (FILTER_REL + int_ratio_rel_error(kept))
-
-
-WINDOW_UNDER_HALF = 2.0 ** 48  # ratio_window(q_hat) < 1/2 for q_hat up to this
-
 # fraction_sqrt_float divides operands whose lengths differ by at most one
 # bit, so the smaller keeps an integer >= 2^51 after int_ratio_float's shift;
 # the square root then rounds once, and scaling by 2^(e/2) is exact for q >= 1.
@@ -154,10 +147,9 @@ _R = Fraction(U) + (1 + Fraction(U)) / 2 ** 51  # int_ratio_rel_error(2^51), exa
 SQRT_REL = _float_up((1 + _R) * (1 + Fraction(U)) - 1)
 
 
-def margin_error_bound(q: Fraction, num: int, den: int, ratio: float,
-                       margin: float) -> float:
-    """Bound on |margin - (sqrt(q) - 4)| for q = num/den, ratio =
-    int_ratio_float(num, den) and margin = sqrt(ratio) - 4 in doubles: the
+def margin_error_bound(q: Fraction, num: int, den: int, margin: float) -> float:
+    """Bound on |margin - (sqrt(q) - 4)| for q = num/den and margin =
+    sqrt(ratio) - 4 in doubles, ratio = int_ratio_float(num, den): the
     error of ratio from the bits int_ratio_float keeps, then the roundings
     of the square root and of the subtraction.
 
@@ -166,6 +158,7 @@ def margin_error_bound(q: Fraction, num: int, den: int, ratio: float,
     sqrt(q) <= r / (1 - SQRT_REL) with r <= (|margin| + 4)(1 + U); the
     factor 1 + 2^-40 covers those quotients and this arithmetic's own
     roundings."""
+    ratio = int_ratio_float(num, den)
     if math.isinf(ratio):
         return ((abs(margin) + 4.0) * SQRT_REL + U * abs(margin)) * (1 + 2.0 ** -40)
     q_up = _float_up(q)  # q < 2^53: the shifted den is >= 1

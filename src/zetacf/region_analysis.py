@@ -7,8 +7,9 @@ i tn/td the squared modulus of that expression is rational, so the test
 reduces to exact integer comparisons; no tolerance enters any verdict in
 this module's scans. A double-precision filter with a derived error bound
 settles each level whose squared modulus is clearly above or below 16, and
-the exact integer comparison settles every level it cannot; the argmin and
-the squared margin always come from exact integers. One routine runs that
+the exact integer comparison settles every level it cannot. Floats only
+filter: the argmin is chosen by exact comparison among the levels the filter
+cannot rule out, and the squared margin is exact. One routine runs that
 test for single points, strip scans, the band search and the real-line
 sweep, all in one process. Otherwise floating
 point appears only in reported margin values (with a derived error bound)
@@ -38,14 +39,14 @@ from .coeff_core import (
 from .errors import ReferenceAccuracyError, UncertifiableError
 from .float_filter import (
     FAIL_BELOW,
+    HIGH_END,
+    LOW_END,
     PASS_AT,
-    WINDOW_UNDER_HALF,
     filter_values,
     fraction_sqrt_float,
     int_ratio_float,
     margin_error_bound,
     normal_ratio,
-    ratio_window,
 )
 from .qcomplex import QComplex, _frac
 from .series import Poly, PowerSeries
@@ -221,17 +222,13 @@ def _point_margin(ctx: _MarginContext, sigma: Fraction, t: Fraction,
 
     Each k is decided by its filtered q_hat_k when |q_hat_k - 16| clears the
     filter bound, and otherwise by the exact integer comparison (an exact
-    fallback). The argmin is taken from exact pairs, over every k whose
-    int_ratio_float value can still be the least, by that value with the
-    first index winning ties, so it matches a loop over all k. Where that
-    value is inf for every candidate (|E_k|^2 beyond about 2^53), the pairs
-    are compared exactly instead, again with the first index winning ties.
+    fallback). The argmin is the first k of least exact |E_k|^2: floats only
+    rule out the k that cannot hold it, and the rest are compared exactly.
 
-    Returns (all_pass, argmin_k, min_ratio_float, num, den, pole_adjacent,
-    exact_fallbacks) where num/den is |E_{argmin}|^2 as an exact integer
-    pair. When want_min is False, stops at the first failing k and reports
-    that k instead; when every k passes it skips the argmin search, and
-    argmin_k, min_ratio_float, num and den are None.
+    Returns (all_pass, argmin_k, num, den, pole_adjacent, exact_fallbacks)
+    where num/den is |E_{argmin}|^2 as an exact integer pair. When want_min
+    is False, stops at the first failing k and reports that k instead, and
+    num and den are None; when every k passes argmin_k is None too.
     """
     sn, sd = sigma.numerator, sigma.denominator
     tn, td = t.numerator, t.denominator
@@ -273,30 +270,23 @@ def _point_margin(ctx: _MarginContext, sigma: Fraction, t: Fraction,
         if failed:
             all_pass = False
             if not want_min:
-                num, den = exact.get(k) or pair(k)
-                return False, k, int_ratio_float(num, den), num, den, poles, len(exact)
+                return False, k, None, None, poles, len(exact)
     if not want_min:
-        return True, None, None, None, None, poles, len(exact)
+        return True, None, None, None, poles, len(exact)
 
-    # Each k's int_ratio_float value is known or lies in
-    # [q_hat (1 - w), q_hat (1 + w)], w = ratio_window(q_hat). The upper end
-    # grows with q_hat, so the least finite q_hat gives the least one: `cut`.
-    # The argmin is among the k whose value can be <= cut.
-    ratio = {k: int_ratio_float(*p) for k, p in exact.items()}
+    # Each finite q_hat_k is within FILTER_REL q_hat_k of |E_k|^2, so `cut`,
+    # the least upper end q_hat (1 + FILTER_REL) rounded up, is at least the
+    # least |E_k|^2. The argmin is among the k decided exactly and the k
+    # whose lower end q_hat (1 - FILTER_REL) is <= cut; q_hat * LOW_END is
+    # <= cut in doubles for each of those, as rounding is monotone.
     q_min = min((q_hat for q_hat in q if q_hat < math.inf), default=math.inf)
-    cut = min([*ratio.values(), q_min * (1 + ratio_window(q_min))])
-    candidates = [k for k, r in ratio.items() if r <= cut] + [
-        k for k, q_hat in enumerate(q, k_lo)
-        if (q_hat <= 2 * cut or q_hat > WINDOW_UNDER_HALF)  # else q_hat (1 - w) > cut
-        and k not in ratio and q_hat * (1 - ratio_window(q_hat)) <= cut]
-    best_k, best_ratio, best_pair = -1, math.inf, None
-    for k in sorted(candidates):
-        p = exact.get(k) or pair(k)
-        r = int_ratio_float(*p)
-        if r < best_ratio or best_pair is None or (
-                r == best_ratio == math.inf and p[0] * best_pair[1] < best_pair[0] * p[1]):
-            best_k, best_ratio, best_pair = k, r, p
-    return all_pass, best_k, best_ratio, best_pair[0], best_pair[1], poles, len(exact)
+    cut = math.nextafter(q_min * HIGH_END, math.inf)
+    best = None
+    for k in [k for k, q_hat in enumerate(q, k_lo) if q_hat * LOW_END <= cut or k in exact]:
+        num, den = exact.get(k) or pair(k)
+        if best is None or num * best[2] < best[1] * den:
+            best = k, num, den
+    return (all_pass, *best, poles, len(exact))
 
 
 def worpitzky_margin(m: int, s) -> MarginResult:
@@ -314,12 +304,12 @@ def worpitzky_margin(m: int, s) -> MarginResult:
     k_lo, k_hi = 1, m - 2
     found = _point_margin(ctx, sigma, t, k_lo, k_hi)
     margin, margin_sq, k_min, passed = _margin_fields(ctx, found)
-    _, _, ratio, num, den, poles, fallbacks = found
+    _, _, num, den, poles, fallbacks = found
     return MarginResult(
         m=m, sigma=sigma, t=t, k_lo=k_lo, k_hi=k_hi,
         margin=margin, margin_sq=margin_sq, argmin_k=k_min, passed=passed,
         pole_adjacent=poles,
-        float_error_bound=margin_error_bound(margin_sq + 16, num, den, ratio, margin),
+        float_error_bound=margin_error_bound(margin_sq + 16, num, den, margin),
         exact_fallbacks=fallbacks,
     )
 
@@ -329,8 +319,9 @@ def _margin_fields(ctx: _MarginContext, found) -> tuple[float, Fraction, int, bo
 
     Where the pair's int_ratio_float value is inf (|E_k|^2 >= 2^52), the
     root is taken from the exact |E_k|^2 instead."""
-    all_pass, k_min, ratio, num, den, *_ = found
+    all_pass, k_min, num, den, *_ = found
     q = ctx.exact_sq(k_min, num, den)
+    ratio = int_ratio_float(num, den)
     root = fraction_sqrt_float(q) if math.isinf(ratio) else math.sqrt(max(ratio, 0.0))
     return root - 4.0, q - 16, k_min, all_pass
 
@@ -371,6 +362,14 @@ def default_strip_grid(m: int, n_sigma: int = 41, n_t: int = 41,
     return RegionGrid(Fraction(1, den), Fraction(n_sigma, den), -T, T, n_sigma, n_t)
 
 
+def _rounded(x: Fraction) -> float:
+    """x >= -16 correctly rounded to a double, inf beyond the double range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
+
+
 def prop1_scan(m: int, grid: RegionGrid | None = None,
                bisect_band: bool = True, progress=None) -> WorpitzkyReport:
     """Element-test scan of a strip grid, every verdict exact.
@@ -409,7 +408,11 @@ def prop1_scan(m: int, grid: RegionGrid | None = None,
                     sig, t, base.margin, base.margin_sq, base.argmin_k, base.passed
                 )
             )
-    worst = min(points, key=lambda p: p.margin)
+    # float(margin_sq) rounds correctly, so it is monotone: the first point of
+    # least exact margin_sq is among those of least rounded value
+    rounded = [_rounded(p.margin_sq) for p in points]
+    least = min(rounded)
+    worst = min((p for p, r in zip(points, rounded) if r == least), key=lambda p: p.margin_sq)
     failing = tuple((p.sigma, p.t) for p in points if not p.passed)
     band_pass = all(p.passed for p in points if abs(p.t) <= T)
 

@@ -2,11 +2,12 @@ import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from zetacf import cli
-from zetacf.coeff_core import SinhSeries
+from zetacf.coeff_core import SinhSeries, Witness
 
 
 def run_cli(args, tmp_path, name="out.json"):
@@ -42,10 +43,11 @@ class TestCoeffs:
         rows = json.loads(out.read_text())["rows"]
         assert [(r["index"], r["value"]) for r in rows] == [(0, "1/1"), (1, "2/1")]
 
-    def test_sinh_requires_r_squared(self, tmp_path):
+    def test_sinh_requires_r_squared(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["coeffs", "3", "--kind", "sinh"])
         assert exc.value.code == 2
+        assert "error: --r-squared is required when kind is sinh" in capsys.readouterr().err
 
     def test_sinh_table(self, tmp_path):
         out = tmp_path / "sinh.json"
@@ -90,10 +92,38 @@ class TestVerify:
         doc = json.loads(out.read_text())
         assert doc["pass"] is True and doc["witness"] is None
 
-    def test_unknown_claim_usage_error(self):
+    def test_unknown_claim_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "nonsense"])
         assert exc.value.code == 2
+        assert ("error: argument claim: invalid choice: 'nonsense' (choose from 'lemma1', "
+                "'newton', 'positivity', 'oracle3', 'genfunc', 'binomial-cf', "
+                "'c1-identity', 'logconcave-sinh')") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("claim,name,sweep,witness", [
+        ("lemma1", "ratio_bounds_sweep", lambda m: SimpleNamespace(m=11, witness="j=3"),
+         "m=11: j=3"),
+        ("newton", "a_invariant_witness",
+         lambda m, deep_roots: Witness("newton", 7, 2, Fraction(1, 3), Fraction(2, 5)),
+         "newton fails at m=7, index 2: 1/3 vs 2/5"),
+        ("positivity", "c_positivity_witness",
+         lambda m: Witness("c-positivity", 4, 1, Fraction(-1, 2), Fraction(0)),
+         "c-positivity fails at m=4, index 1: -1/2 vs 0"),
+        ("oracle3", "c_residue_oracle", lambda m: SimpleNamespace(c=(Fraction(1), Fraction(9))),
+         "residue oracle mismatch at m=1, k=1: 2/1 vs 9/1"),
+        ("genfunc", "c_genfunc_oracle", lambda m: [[Fraction(2)]], "constant term is 2/1, not 1"),
+        ("binomial-cf", "binomial_cf_check",
+         lambda m: SimpleNamespace(passed=False, first_mismatch=5), "first mismatch at y^5"),
+        ("c1-identity", "c1_identity_witness",
+         lambda m: Witness("c1", 9, 0, Fraction(3), Fraction(4)), "c1 fails at m=9, index 0: 3 vs 4"),
+    ])
+    def test_claim_failure_witness(self, claim, name, sweep, witness, tmp_path, monkeypatch):
+        # each claim runs the sweep named in this module when it is called
+        monkeypatch.setattr(cli, name, sweep)
+        code, out = run_cli(["verify", claim, "3"], tmp_path)
+        assert code == 1
+        doc = json.loads(out.read_text())
+        assert doc["pass"] is False and doc["witness"] == witness
 
     @pytest.mark.parametrize("num,witness", [
         # d = 1/2, 3/4, 3/2: d_1^2 = 9/16 < d_0 d_2 = 3/4
@@ -269,35 +299,41 @@ class TestFlagPlacement:
 
 
 class TestUsageErrors:
-    def test_missing_subcommand(self):
+    def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main([])
         assert exc.value.code == 2
+        assert "error: the following arguments are required: command" in capsys.readouterr().err
 
-    def test_bad_grid(self):
+    def test_bad_grid(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["scan", "worpitzky", "10", "--grid", "banana"])
         assert exc.value.code == 2
+        assert "error: argument --grid: grid must look like 41x41" in capsys.readouterr().err
 
-    def test_low_precision_rejected(self):
+    def test_low_precision_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["--precision", "10", "coeffs", "3", "--kind", "a"])
         assert exc.value.code == 2
+        assert "error: precision must be >= 53 bits" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", [
-        '{"precision": 128',        # not JSON
-        '[128]',                    # not an object
-        '{"precision": "high"}',
-        '{"seed": 1.5}',
-        '{"jobs": true}',
-        '{"jobs": 0}',
-    ])
-    def test_bad_config_file_rejected(self, text, tmp_path, monkeypatch):
+    _CONFIG_ERRORS = {
+        '{"precision": 128': "cannot read zetacf.json: Expecting ',' delimiter",  # not JSON
+        '[128]': "zetacf.json must hold a JSON object",
+        '{"precision": "high"}': "precision must be an integer, not 'high'",
+        '{"seed": 1.5}': "seed must be an integer, not 1.5",
+        '{"jobs": true}': "jobs must be an integer, not True",
+        '{"jobs": 0}': "jobs must be >= 1",
+    }
+
+    @pytest.mark.parametrize("text", list(_CONFIG_ERRORS))
+    def test_bad_config_file_rejected(self, text, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         Path("zetacf.json").write_text(text)
         with pytest.raises(SystemExit) as exc:
             cli.main(["--out", str(tmp_path / "x.json"), "coeffs", "2", "--kind", "a"])
         assert exc.value.code == 2
+        assert f"error: {self._CONFIG_ERRORS[text]}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["scan", "monotonicity", "abc"],
@@ -330,7 +366,8 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert "usage:" in capsys.readouterr().err
 
-    def test_nonpositive_jobs_rejected(self):
+    def test_nonpositive_jobs_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["scan", "worpitzky", "10", "--grid", "3x3", "--jobs", "0"])
         assert exc.value.code == 2
+        assert "error: jobs must be >= 1" in capsys.readouterr().err

@@ -163,7 +163,7 @@ class TestCSequence:
     def test_c0_always_one(self):
         for seq in c_sequences(40):
             assert seq.c[0] == 1
-            assert seq.k_max == seq.m // 2 + 1
+            assert len(seq.c) == seq.m // 2 + 2
 
     def test_sweep_matches_single(self):
         singles = {m: c_direct(m).c for m in range(1, 21)}

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -117,19 +118,12 @@ def _exact_pairs(ctx, sigma, t, k_lo, k_hi):
 
 def _all_k_margin(ctx, sigma, t, k_lo, k_hi):
     """The element test as one exact integer loop over every k: the
-    reference for the verdict, the argmin and the bytes of its float ratio.
-    The argmin is the first k of least int_ratio_float value, or, where that
-    value is inf at every k, the first k of least exact |E_k|^2."""
+    reference for the verdict, the argmin and its exact pair. The argmin is
+    the first k of least exact |E_k|^2."""
     pairs = list(_exact_pairs(ctx, sigma, t, k_lo, k_hi))
     all_pass = all(num >= 16 * den for _, num, den in pairs)
-    ratios = [ff.int_ratio_float(num, den) for _, num, den in pairs]
-    best_ratio = min(ratios)
-    if best_ratio < math.inf:
-        i = ratios.index(best_ratio)
-    else:
-        exact = [F(num, den) for _, num, den in pairs]
-        i = exact.index(min(exact))
-    return all_pass, pairs[i][0], best_ratio
+    exact = [F(num, den) for _, num, den in pairs]
+    return (all_pass, *pairs[exact.index(min(exact))])
 
 
 def _refined_bracket(m):
@@ -163,8 +157,9 @@ class TestFilteredElementTest:
             assert r.passed == (q_min >= 16)
             assert r.argmin_k == 1 + q.index(q_min)
             assert r.margin_sq == q_min - 16
-            all_pass, k_ref, ratio_ref = _all_k_margin(ctx, sigma, t, 1, m - 2)
-            assert (r.passed, r.argmin_k, r.margin) == (all_pass, k_ref, math.sqrt(ratio_ref) - 4)
+            all_pass, k_ref, num, den = _all_k_margin(ctx, sigma, t, 1, m - 2)
+            margin_ref = math.sqrt(ff.int_ratio_float(num, den)) - 4
+            assert (r.passed, r.argmin_k, r.margin) == (all_pass, k_ref, margin_ref)
             with mp.workprec(200):
                 exact = mp.sqrt(mp.mpf(q_min.numerator) / q_min.denominator) - 4
                 assert abs(mp.mpf(r.margin) - exact) <= r.float_error_bound < 1e-12
@@ -192,22 +187,8 @@ class TestFilteredElementTest:
                          (F(1, 2), F(1, 2 ** 1060)),  # t is subnormal
                          (F(1, 2), F(10 ** 400))):  # t overflows
             assert all(math.isnan(q) for q in ff.filter_values(ctx.r, sigma, t, 1, 10))
-            assert ra._point_margin(ctx, sigma, t, 1, 10)[:3] == _all_k_margin(ctx, sigma, t, 1, 10)
+            assert ra._point_margin(ctx, sigma, t, 1, 10)[:4] == _all_k_margin(ctx, sigma, t, 1, 10)
             assert worpitzky_margin(12, (sigma, t)).exact_fallbacks == 10
-
-    def test_argmin_window_holds_ratio(self):
-        # the argmin is searched among the k whose window can reach the least
-        # upper end; each window must hold the k's _int_ratio_float value
-        points = [(m, p.re, p.im) for m in (10, 60) for p in seeded_strip_points(m, 20)]
-        points += _FAR_POINTS
-        for m, sigma, t in points:
-            ctx = ra._margin_context(m)
-            q_hat = ff.filter_values(ctx.r, sigma, t, 1, m - 2)
-            for (k, num, den), qh in zip(_exact_pairs(ctx, sigma, t, 1, m - 2), q_hat):
-                w = ff.ratio_window(qh)
-                assert qh * (1 - w) <= ff.int_ratio_float(num, den) <= qh * (1 + w)
-        # the screen in _point_margin skips windows only below this q_hat
-        assert ff.ratio_window(ff.WINDOW_UNDER_HALF) < 0.5
 
     def test_scan_counts_fallbacks(self):
         rep = prop1_scan(30, default_strip_grid(30, 3, 3), bisect_band=True)
@@ -217,8 +198,8 @@ class TestFilteredElementTest:
 
 
 # far outside the band few bits of the smaller operand survive the shift in
-# _int_ratio_float: the float margin carries that error, and the argmin by
-# that ratio is not the argmin of the filtered values
+# int_ratio_float: the float margin carries that error, and that ratio would
+# not order the k correctly
 _FAR_POINTS = [(m, sigma, t) for m in (5, 10, 30, 100) for sigma in (F(1, 3), F(1, 2))
                for t in (F(10 ** 3), F(10 ** 4), F(10 ** 6), F(3 ** 20, 7), F(10 ** 9))]
 
@@ -226,7 +207,7 @@ _FAR_POINTS = [(m, sigma, t) for m in (5, 10, 30, 100) for sigma in (F(1, 3), F(
 def test_margin_far_out():
     for m, sigma, t in _FAR_POINTS:
         ctx = ra._margin_context(m)
-        assert ra._point_margin(ctx, sigma, t, 1, m - 2)[:3] == _all_k_margin(ctx, sigma, t, 1, m - 2)
+        assert ra._point_margin(ctx, sigma, t, 1, m - 2)[:4] == _all_k_margin(ctx, sigma, t, 1, m - 2)
         r = worpitzky_margin(m, QComplex(sigma, t))
         a = coeff_table(m - 1).a
         q = [_oracle_sq(a, sigma, t, k) for k in range(1, m - 1)]
@@ -239,14 +220,57 @@ def test_margin_far_out():
             assert abs(mp.mpf(r.margin) - exact) <= r.float_error_bound, (m, sigma, t)
 
 
+def test_fraction_sqrt_float_within_sqrt_rel():
+    # the bits int_ratio_float discards are all ones, so truncation lowers
+    # both operands by almost one unit of the kept integers, and the smaller
+    # one keeps as few as 2^51: the worst case SQRT_REL is derived for
+    rng = random.Random(11)
+    tested = 0
+    for _ in range(3000):
+        sh, e = rng.randint(1, 300), 2 * rng.randint(0, 400)
+        n_hi = rng.randint(2 ** 52, 2 ** 53 - 1)
+        d_hi = rng.randint(2 ** 51, n_hi)
+        n = (n_hi << (sh + e)) | ((1 << (sh + e)) - 1)
+        d = (d_hi << sh) | ((1 << sh) - 1)
+        if math.gcd(n, d) > 1:  # Fraction would cancel, and keep other bits
+            continue
+        r = ff.fraction_sqrt_float(F(n, d))
+        with mp.workprec(300):
+            root = mp.sqrt(mp.mpf(n) / d)
+            assert abs(mp.mpf(r) - root) <= ff.SQRT_REL * root, (n, d)
+        tested += 1
+    assert tested > 1000
+
+
 def test_far_out_argmin_compares_exactly():
     # on the a-rows the least |E_k|^2 far out is at the first k; this row
     # puts it at k = 2, where every int_ratio_float value is inf
     ctx = ra._MarginContext([1, 1, 1, 50, 1, 1, 1])
     sigma, t = F(1, 2), F(10 ** 12)
     found = ra._point_margin(ctx, sigma, t, 1, 5)
-    assert found[:3] == _all_k_margin(ctx, sigma, t, 1, 5) == (True, 2, math.inf)
-    assert F(*found[3:5]) == min(F(num, den) for _, num, den in _exact_pairs(ctx, sigma, t, 1, 5))
+    assert found[:4] == _all_k_margin(ctx, sigma, t, 1, 5)
+    assert found[:2] == (True, 2)
+
+
+def test_far_out_argmin_is_first_exact_minimum():
+    # where int_ratio_float keeps one or two bits of the smaller operand,
+    # its order puts the minimum at k = 2 at the first three points; the
+    # argmin is the first k of least exact |E_k|^2
+    points = [(30, F(15, 32), F(14760500000, 37)), (30, F(63, 64), F(4395338206, 11)),
+              (30, F(13, 64), F(8408089919, 23))]
+    rng = random.Random(2026)
+    points += [(rng.choice((5, 10, 30, 60)), F(rng.randint(1, 63), 64),
+                F(rng.randint(10 ** 6, 10 ** 10), rng.randint(1, 100))) for _ in range(12)]
+    for m, sigma, t in points:
+        a = coeff_table(m - 1).a
+        q = [_oracle_sq(a, sigma, t, k) for k in range(1, m - 1)]
+        r = worpitzky_margin(m, (sigma, t))
+        assert (r.argmin_k, r.margin_sq) == (1 + q.index(min(q)), min(q) - 16), (m, sigma, t)
+        with mp.workprec(300):
+            exact = mp.sqrt(mp.mpf(min(q).numerator) / min(q).denominator) - 4
+            assert abs(mp.mpf(r.margin) - exact) <= r.float_error_bound, (m, sigma, t)
+    r = worpitzky_margin(30, points[0][1:])
+    assert (r.argmin_k, r.margin) == (1, 74811609.04775213)
 
 
 class TestProp1Scan:
@@ -255,6 +279,21 @@ class TestProp1Scan:
         assert rep.all_pass
         assert rep.failing_points == ()
         assert rep.global_min_margin >= 0
+        # the global argmin is the first point of least exact margin_sq
+        least = min(p.margin_sq for p in rep.points)
+        worst = next(p for p in rep.points if p.margin_sq == least)
+        assert (rep.global_argmin, rep.global_min_margin) == ((worst.sigma, worst.t), worst.margin)
+
+    def test_global_argmin_beyond_double_range(self):
+        # every margin_sq exceeds the double range, so the points are
+        # compared exactly; the least is at the smallest |t|
+        g = RegionGrid(F(1, 3), F(2, 3), F(-10 ** 201), F(10 ** 200), 2, 3)
+        rep = prop1_scan(6, g, bisect_band=False)
+        assert all(p.margin_sq > 2 ** 1024 for p in rep.points)
+        least = min(p.margin_sq for p in rep.points)
+        worst = next(p for p in rep.points if p.margin_sq == least)
+        assert rep.global_argmin == (worst.sigma, worst.t)
+        assert abs(worst.t) < 10 ** 201
 
     def test_single_point_grid(self):
         g = RegionGrid(F(1, 2), F(1, 2), F(0), F(0), 1, 1)
