@@ -23,9 +23,10 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 
 import mpmath as mp
+from mpmath.libmp import from_rational
 
 from .coeff_core import bernoulli_table, c_direct, coeff_table
 from .errors import InternalConsistencyError, ZeroDenominatorError
@@ -381,19 +382,60 @@ def euler_cf(exp: FactorialExpansion) -> ContinuedFraction:
     return cf
 
 
-def _cf_backward(levels, s, zero):
-    acc = zero
+def _cf_backward(levels, x: int, y: int, d: int) -> tuple[int, int, int]:
+    """The value at s = (x + iy)/d, d > 0, as integers (p_re, p_im, q) with
+    value (p_re + i p_im)/q, by the backward recurrence on Gaussian integers.
+
+    With acc = p/q, num(s) = u/u_den and den(s) = v/v_den (`gaussian_horner`),
+    den(s) + acc = w/(v_den q) with w = v q + p v_den, so
+    num(s)/(den(s) + acc) = u v_den q conj(w) / (u_den |w|^2). Each level
+    divides out gcd(p_re, p_im, q): without it the |w|^2 factor about
+    doubles the length of q at every level (over a million bits by level 20
+    of the m=120 G fraction, against 3.3k bits reduced at level 120).
+    """
+    p_re = p_im = 0
+    q = 1
     for idx in range(len(levels) - 1, -1, -1):
-        den_v = levels[idx].den(s) + acc
-        if _is_exact_zero(den_v):
+        u_re, u_im, u_den = levels[idx].num.gaussian_horner(x, y, d)
+        v_re, v_im, v_den = levels[idx].den.gaussian_horner(x, y, d)
+        w_re = v_re * q + p_re * v_den
+        w_im = v_im * q + p_im * v_den
+        if not (w_re or w_im):
             raise ZeroDenominatorError(idx)
-        acc = levels[idx].num(s) / den_v
+        f = v_den * q
+        p_re = (u_re * w_re + u_im * w_im) * f
+        p_im = (u_im * w_re - u_re * w_im) * f
+        q = u_den * (w_re * w_re + w_im * w_im)
+        g = gcd(p_re, p_im, q)
+        p_re, p_im, q = p_re // g, p_im // g, q // g
+    return p_re, p_im, q
+
+
+def _mp_values(levels, z: mp.mpc) -> list[tuple[mp.mpc, mp.mpc]]:
+    """(num(z), den(z)) per level at the working precision. Each coefficient
+    is rounded once by `from_rational`, the rounding mpmath applies to a
+    Fraction operand (after re-reducing it), so the values are the same bits
+    as Horner on the Fractions themselves."""
+    prec = mp.mp.prec
+
+    def horner(poly):
+        acc = z * 0
+        for c in reversed(poly.coeffs):
+            acc = acc * z + mp.make_mpf(from_rational(c.numerator, c.denominator, prec))
+        return acc
+
+    return [(horner(lv.num), horner(lv.den)) for lv in levels]
+
+
+def _mp_backward(values) -> mp.mpc:
+    acc = mp.mpc(0)
+    for idx in range(len(values) - 1, -1, -1):
+        num_v, den_v = values[idx]
+        den_v = den_v + acc
+        if den_v == 0:
+            raise ZeroDenominatorError(idx)
+        acc = num_v / den_v
     return acc
-
-
-def _is_exact_zero(v) -> bool:
-    """Whether a Fraction, QComplex or mpc value is zero."""
-    return v.is_zero() if isinstance(v, QComplex) else v == 0
 
 
 def eval_cf(cf: ContinuedFraction, s, depth: int | None = None,
@@ -415,30 +457,31 @@ def eval_cf(cf: ContinuedFraction, s, depth: int | None = None,
         raise ValueError(f"depth must be in [0, {cf.depth - 1}]")
     levels = cf.levels[: depth + 1]
 
-    exact = isinstance(s, (int, Fraction, QComplex))
-    if isinstance(s, int):
-        s = Fraction(s)
-    if exact:
-        zero = Fraction(0) if isinstance(s, Fraction) else QComplex(Fraction(0), Fraction(0))
-        value = _cf_backward(levels, s, zero)
+    if isinstance(s, (int, Fraction, QComplex)):
+        if not isinstance(s, QComplex):
+            s = Fraction(s)
+        p_re, p_im, q = _cf_backward(levels, *QComplex.from_value(s).gaussian())
+        value = (QComplex(Fraction(p_re, q), Fraction(p_im, q)) if isinstance(s, QComplex)
+                 else Fraction(p_re, q))
         convergents = denominators = None
         if trace:
-            convergents, denominators = _cf_forward(levels, s)
+            convergents, denominators = _cf_forward([(lv.num(s), lv.den(s)) for lv in levels])
             if convergents[-1] != value:
                 raise InternalConsistencyError("forward and backward CF evaluations disagree")
         return CFEvaluation(value, depth + 1, convergents, denominators)
 
     with mp.workprec(precision + 10):
-        v = _cf_backward(levels, _to_mpc(s), mp.mpc(0))
+        values = _mp_values(levels, _to_mpc(s))
+        v = _mp_backward(values)
     with mp.workprec(128):
-        v128 = _cf_backward(levels, _to_mpc(s), mp.mpc(0))
+        v128 = _mp_backward(_mp_values(levels, _to_mpc(s)))
     width = float(abs(v - v128))
     with mp.workprec(precision):
         cv = ComplexValue(+v.real, +v.imag, precision, width)
     convergents = denominators = None
     if trace:
         with mp.workprec(precision + 10):
-            convergents, denominators = _cf_forward(levels, _to_mpc(s))
+            convergents, denominators = _cf_forward(values)
     return CFEvaluation(cv, depth + 1, convergents, denominators, width)
 
 
@@ -455,13 +498,13 @@ def _convergents(pairs):
         yield A_prev, B_prev
 
 
-def _cf_forward(levels, s):
+def _cf_forward(values):
     """Convergent values and their denominators B_n, by the forward
-    recurrence of `_convergents`."""
+    recurrence of `_convergents` on the levels' (num(s), den(s))."""
     convergents = []
     denominators = []
-    for A, B in _convergents((lv.num(s), lv.den(s)) for lv in levels):
-        if _is_exact_zero(B):
+    for A, B in _convergents(values):
+        if not B:
             raise ZeroDenominatorError(len(convergents))
         convergents.append(A / B)
         denominators.append(B)
@@ -478,16 +521,27 @@ def collapsed(pf: PartialFraction) -> tuple[Fraction, Poly, tuple[int, ...]]:
 
     The numerator over the monic pole product is content-normalized: integer
     coefficients, positive leading coefficient, with the rational content
-    returned as the scalar.
+    returned as the scalar. It is built in integers, from the residues over
+    their common denominator L, by one running product of the poles.
     """
-    numer = Poly()
-    prod = Poly([1])  # prod(s - p) over the poles seen so far
+    L = lcm(*(r.denominator for _, r in pf.terms))
+    numer: list[int] = []  # L * numerator so far, ascending, one shorter than prod
+    prod = [1]  # prod(s - p) over the poles seen so far
     for p, r in pf.terms:
-        lin = Poly.linear(-p, 1)
-        numer = numer * lin + prod * r
-        prod = prod * lin
-    content, prim = numer.primitive()
-    return content, prim, pf.poles
+        R = r.numerator * (L // r.denominator)
+        numer = [a + R * b for a, b in zip(_times_linear(numer, p), prod)]
+        prod = _times_linear(prod, p)
+    g = gcd(*numer)
+    if g == 0:
+        return Fraction(0), Poly(), pf.poles
+    if next(c for c in reversed(numer) if c) < 0:
+        g = -g
+    return Fraction(g, L), Poly([c // g for c in numer]), pf.poles
+
+
+def _times_linear(c: list[int], p: int) -> list[int]:
+    """Coefficients of c(s) (s - p), ascending."""
+    return [b - p * a for a, b in zip(c + [0], [0] + c)]
 
 
 def numerator_poly(pf: PartialFraction) -> Poly:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import mpmath as mp
 
@@ -103,6 +104,13 @@ class QComplex:
         return o / self
 
     # -- queries -------------------------------------------------------------
+
+    def gaussian(self) -> tuple[int, int, int]:
+        """(x, y, d) with self == (x + iy)/d and d the lcm of the two
+        denominators, so integer arithmetic can run on x + iy."""
+        d = lcm(self.re.denominator, self.im.denominator)
+        return (self.re.numerator * (d // self.re.denominator),
+                self.im.numerator * (d // self.im.denominator), d)
 
     def conjugate(self) -> "QComplex":
         return QComplex(self.re, -self.im)

@@ -8,7 +8,9 @@ series). No floating point enters any operation here.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+
+from .qcomplex import QComplex
 
 __all__ = ["Poly", "PowerSeries"]
 
@@ -139,11 +141,32 @@ class Poly:
     # -- evaluation ---------------------------------------------------------
 
     def __call__(self, x):
-        """Horner evaluation; works for any ring value (Fraction, complex, ...)."""
+        """Horner evaluation; works for any ring value (Fraction, complex, ...).
+
+        At a QComplex the value is computed in integers by `gaussian_horner`,
+        and each part is reduced once at the end."""
+        if isinstance(x, QComplex):
+            re, im, den = self.gaussian_horner(*x.gaussian())
+            return QComplex(Fraction(re, den), Fraction(im, den))
         acc = x * 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
+
+    def gaussian_horner(self, x: int, y: int, d: int) -> tuple[int, int, int]:
+        """The value at (x + iy)/d, d > 0, as integers (re, im, den) with
+        value (re + i im)/den, unreduced.
+
+        The coefficients are cleared to integers N_k over L = lcm of their
+        denominators, and Horner runs on the Gaussian integer x + iy with
+        N_k scaled by d^(n-k), so den = L d^n and no step divides."""
+        L = lcm(*(c.denominator for c in self.coeffs))
+        re = im = 0
+        scale = 1  # d^(n-k) for the coefficient k about to be added
+        for c in reversed(self.coeffs):
+            re, im = re * x - im * y + c.numerator * (L // c.denominator) * scale, re * y + im * x
+            scale *= d
+        return re, im, L * scale // d
 
     # -- normalization ------------------------------------------------------
 

@@ -7,6 +7,7 @@ import pytest
 from zetacf.approx_eval import (
     CFLevel,
     ContinuedFraction,
+    PartialFraction,
     PoleIndicator,
     build_f,
     build_g,
@@ -23,7 +24,54 @@ from zetacf.approx_eval import (
 from zetacf.coeff_core import c_direct, coeff_table
 from zetacf.errors import ZeroDenominatorError
 from zetacf.qcomplex import QComplex
+from zetacf.region_analysis import seeded_strip_points
 from zetacf.series import Poly
+
+
+def generic_horner(poly, x):
+    """Horner on the ring value itself: Fraction, QComplex or mpc operations,
+    each coefficient a Fraction operand."""
+    acc = x * 0
+    for c in reversed(poly.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def reference_backward(levels, s):
+    """The backward recurrence on Fraction, QComplex or mpc values, one
+    reduced (or rounded) operation at a time."""
+    acc = s * 0
+    for idx in range(len(levels) - 1, -1, -1):
+        den_v = generic_horner(levels[idx].den, s) + acc
+        if not den_v:
+            raise ZeroDenominatorError(idx)
+        acc = generic_horner(levels[idx].num, s) / den_v
+    return acc
+
+
+def reference_forward(levels, s):
+    """Convergents A_k/B_k and the B_k by the three-term recurrence."""
+    A2, A1, B2, B1 = 1, 0, 0, 1
+    convergents, denominators = [], []
+    for lv in levels:
+        a, b = generic_horner(lv.num, s), generic_horner(lv.den, s)
+        A2, A1 = A1, b * A1 + a * A2
+        B2, B1 = B1, b * B1 + a * B2
+        convergents.append(A1 / B1)
+        denominators.append(B1)
+    return tuple(convergents), tuple(denominators)
+
+
+def reference_mp(levels, z, precision):
+    """eval_cf's mpmath value and cross width, from the reference recurrence
+    with mpmath rounding each Fraction coefficient itself."""
+    with mp.workprec(precision + 10):
+        v = reference_backward(levels, mp.mpc(z))
+    with mp.workprec(128):
+        v128 = reference_backward(levels, mp.mpc(z))
+    width = float(abs(v - v128))
+    with mp.workprec(precision):
+        return (+v.real)._mpf_, (+v.imag)._mpf_, width
 
 
 class TestBuild:
@@ -74,6 +122,36 @@ class TestCollapsed:
             for p in poles:
                 denom *= s - p
             assert eval_pf(pf, s) == scalar * poly(s) / denom
+
+
+class TestCollapsedReference:
+    """`collapsed` in integers against the running product on Fraction
+    polynomials."""
+
+    @staticmethod
+    def reference(pf):
+        numer = Poly()
+        prod = Poly([1])
+        for p, r in pf.terms:
+            lin = Poly.linear(-p, 1)
+            numer = numer * lin + prod * r
+            prod = prod * lin
+        content, prim = numer.primitive()
+        return content, prim, pf.poles
+
+    @pytest.mark.parametrize("builder", [build_g, build_f])
+    def test_matches_fraction_running_product(self, builder):
+        for m in range(1, 41):
+            pf = builder(m)
+            got = collapsed(pf)
+            assert got == self.reference(pf), m
+            assert all(type(c) is F and c.denominator == 1 for c in got[1].coeffs)
+
+    def test_rational_and_empty_inputs(self):
+        pf = PartialFraction(((3, F(-5, 6)), (1, F(7, 10)), (-2, F(-1, 15))))
+        assert collapsed(pf) == self.reference(pf)
+        empty = PartialFraction(())
+        assert collapsed(empty) == (F(0), Poly(), ())
 
 
 class TestEvalPf:
@@ -248,7 +326,82 @@ class TestEvalCf:
         with pytest.raises(ZeroDenominatorError):
             eval_cf(cf, F(1))
 
+    @staticmethod
+    def _vanishing_at(z):
+        """A linear den with den(z) = -1/z, so den(z) + 1/z = 0."""
+        w = -1 / z
+        a1 = w.im / z.im
+        return Poly([w.re - a1 * z.re, a1])
+
+    def test_zero_denominator_level_matches_reference(self):
+        z = QComplex(F(1, 3), F(2, 7))
+        top = CFLevel(Poly([F(5, 2)]), Poly([F(1, 2), 3]))
+        inner = CFLevel(Poly([1]), Poly([0, 1]))  # 1/s
+        cases = [
+            ((CFLevel(Poly([1]), Poly([-1, 1])),), F(1), 0),               # den(1) = 0
+            ((top, CFLevel(Poly([1]), Poly([0, 1])), inner), QComplex(F(0), F(1)), 1),
+            ((top, CFLevel(Poly([F(-3, 4)]), self._vanishing_at(z)), inner), z, 1),
+            ((CFLevel(Poly([1]), self._vanishing_at(z)), inner), z, 0),
+            ((CFLevel(Poly([1]), Poly([0, 1])), inner), mp.mpc(0, 1), 0),  # i + 1/i
+        ]
+        for levels, s, level in cases:
+            with pytest.raises(ZeroDenominatorError) as ref:
+                reference_backward(levels, s)
+            assert ref.value.level == level
+            with pytest.raises(ZeroDenominatorError) as got:
+                eval_cf(ContinuedFraction("G", 0, levels), s)
+            assert got.value.level == level, (levels, s)
+
     def test_depth_bounds_checked(self):
         cf = euler_cf(g_expansion(5))
         with pytest.raises(ValueError):
             eval_cf(cf, F(1, 2), depth=cf.depth)
+
+
+class TestEvalCfReference:
+    """eval_cf's Gaussian-integer and pre-rounded mpmath recurrences against
+    the backward recurrence on Fraction, QComplex and mpc values."""
+
+    CASES = [(kind, m) for kind in ("G", "F") for m in (1, 2, 3, 12, 60)
+             if (kind, m) != ("G", 1)]  # G_1 has one term: no continued fraction
+
+    @staticmethod
+    def points(m):
+        return [*seeded_strip_points(m, 4), QComplex(F(7, 3), F(0)),
+                QComplex(F(1, 3), F(-2, 7)), F(1, 3), F(-5, 2)]
+
+    @pytest.mark.parametrize("kind, m", CASES)
+    def test_exact_values_and_traces(self, kind, m):
+        cf = euler_cf((g_expansion if kind == "G" else f_expansion)(m))
+        depths = range(cf.depth) if m <= 12 else sorted({0, cf.depth // 2, cf.depth - 1})
+        for s in self.points(m):
+            for depth in depths:
+                levels = cf.levels[:depth + 1]
+                want = reference_backward(levels, s)
+                ev = eval_cf(cf, s, depth=depth)
+                assert ev.value == want and type(ev.value) is type(want), (s, depth)
+                assert ev.levels_used == depth + 1
+                if m <= 12 or depth == 0:
+                    tr = eval_cf(cf, s, depth=depth, trace=True)
+                    assert tr.value == want
+                    assert (tr.convergents, tr.denominators) == reference_forward(levels, s)
+
+    @pytest.mark.parametrize("kind, m", CASES)
+    @pytest.mark.parametrize("precision", [128, 266])
+    def test_mp_values_bit_identical(self, kind, m, precision):
+        cf = euler_cf((g_expansion if kind == "G" else f_expansion)(m))
+        depths = range(cf.depth) if m <= 12 else [cf.depth - 1]
+        for s in self.points(m)[:5]:
+            z = mp.mpc(mp.mpf(s.re.numerator) / s.re.denominator,
+                       mp.mpf(s.im.numerator) / s.im.denominator)
+            for depth in depths:
+                levels = cf.levels[:depth + 1]
+                ev = eval_cf(cf, z, depth=depth, precision=precision, trace=m <= 12)
+                re, im, width = reference_mp(levels, z, precision)
+                assert (ev.value.real._mpf_, ev.value.imaginary._mpf_) == (re, im), (z, depth)
+                assert ev.cross_width == ev.value.cross_width == width
+                if m <= 12:
+                    with mp.workprec(precision + 10):
+                        conv, dens = reference_forward(levels, mp.mpc(z))
+                    assert [c._mpc_ for c in ev.convergents] == [c._mpc_ for c in conv]
+                    assert [d._mpc_ for d in ev.denominators] == [d._mpc_ for d in dens]

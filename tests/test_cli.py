@@ -1,5 +1,7 @@
 import hashlib
+import io
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -8,6 +10,15 @@ import pytest
 
 from zetacf import cli
 from zetacf.coeff_core import SinhSeries, Witness
+
+
+@pytest.fixture(autouse=True)
+def _quiet_stderr(monkeypatch):
+    """Send what `cli.main` writes to stderr (`done in N ms`, progress lines,
+    usage text) to a buffer, so it stays out of the test log: `pyproject.toml`
+    turns pytest's own capture off to keep the acceptance module's PASS/FAIL
+    lines. A test that takes `capsys` still reads stderr through it."""
+    monkeypatch.setattr(sys, "stderr", io.StringIO())
 
 
 def run_cli(args, tmp_path, name="out.json"):

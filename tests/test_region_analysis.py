@@ -419,6 +419,30 @@ class TestZeroScan:
         assert res.subdivisions > 0 and res.certified
 
 
+class TestZeroScanReference:
+    """zero_scan with `Poly.__call__` against the same scan with Horner on
+    QComplex values patched in: every field of the result is equal."""
+
+    @staticmethod
+    def generic_call(poly, x):
+        acc = x * 0
+        for c in reversed(poly.coeffs):
+            acc = acc * x + c
+        return acc
+
+    @pytest.mark.parametrize("poly, rect", [
+        (numerator_poly(build_g(50)), (F(0), F(1), -half_sqrt_log_lower(50),
+                                       half_sqrt_log_lower(50))),
+        (numerator_poly(build_f(20)), (F(-3, 2), F(1, 3), F(-2, 5), F(7, 4))),
+        # z^n - 10^-6; at n = 40 both report the wrong certified winding 24
+        *((Poly([F(-1, 10**6)] + [0] * (n - 1) + [1]), (-1, 1, -1, 1)) for n in (8, 32, 40)),
+    ], ids=["G50-band", "F20-box", "zn8", "zn32", "zn40"])
+    def test_matches_qcomplex_horner(self, poly, rect, monkeypatch):
+        got = zero_scan(poly, rect)
+        monkeypatch.setattr(Poly, "__call__", self.generic_call)
+        assert got == zero_scan(poly, rect)
+
+
 class TestMonotonicity:
     def test_golden_artifact(self):
         golden = json.loads((GOLDEN / "monotonicity.json").read_text())

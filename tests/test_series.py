@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -36,6 +37,62 @@ class TestPoly:
         assert prim == Poly([11, 10, 3])
         c, prim = Poly([F(-2), F(-4)]).primitive()
         assert c == F(-2) and prim == Poly([1, 2])
+
+
+def generic_horner(poly, x):
+    """Horner on the ring value itself, one reduced operation per step: the
+    evaluation `Poly.__call__` ran at a QComplex before it cleared
+    denominators."""
+    acc = x * 0
+    for c in reversed(poly.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _rational(rng, bits=40):
+    return F(rng.randint(-2**bits, 2**bits), rng.randint(1, 2**bits))
+
+
+class TestGaussianHorner:
+    """`Poly.__call__` at a QComplex against Horner on QComplex values."""
+
+    POINTS = (
+        QComplex(F(0), F(0)),
+        QComplex(F(7, 3), F(0)),              # im = 0
+        QComplex(F(0), F(-5, 8)),
+        QComplex(F(1, 3), F(2, 7)),           # coprime denominators
+        QComplex(F(-5, 12), F(7, 18)),        # denominators sharing a factor
+        QComplex(F(3), F(1, 64)),
+        QComplex(F(-123456789, 1024), F(987654321, 3**20)),
+    )
+
+    @pytest.mark.parametrize("poly", [
+        Poly(),                                   # zero polynomial
+        Poly([F(-7, 3)]),                         # constant
+        Poly([11, 6, 1]),                         # integers
+        Poly([F(1, 2), F(-2, 3), F(5, 7), 0, F(-11, 13)]),
+        Poly([0, 0, F(3, 4)]),
+        Poly([F(-1, 10**6)] + [0] * 39 + [1]),    # z^40 - 10^-6
+    ])
+    def test_matches_generic_horner(self, poly):
+        for z in self.POINTS:
+            got = poly(z)
+            assert got == generic_horner(poly, z), (poly, z)
+            assert type(got.re) is F and type(got.im) is F
+
+    def test_seeded_rational_polys(self):
+        rng = random.Random(20261018)
+        for _ in range(60):
+            poly = Poly([_rational(rng) for _ in range(rng.randint(1, 12))])
+            z = QComplex(_rational(rng, 20), _rational(rng, 20) if rng.random() < 0.8 else F(0))
+            assert poly(z) == generic_horner(poly, z), (poly, z)
+
+    def test_integers_before_reduction(self):
+        # (re + i im)/den is the value, with den = L d^n unreduced
+        poly = Poly([F(1, 2), F(1, 3), F(1, 4)])
+        re, im, den = poly.gaussian_horner(1, 2, 5)  # at (1 + 2i)/5
+        assert den == 12 * 5**2
+        assert QComplex(F(re, den), F(im, den)) == generic_horner(poly, QComplex(F(1, 5), F(2, 5)))
 
 
 class TestPowerSeries:
