@@ -323,8 +323,9 @@ class TestEvalCf:
         cf = ContinuedFraction(
             "G", 0, (CFLevel(Poly([1]), Poly([-1, 1])),)
         )
-        with pytest.raises(ZeroDenominatorError):
+        with pytest.raises(ZeroDenominatorError) as exc:
             eval_cf(cf, F(1))
+        assert exc.value.level == 0
 
     @staticmethod
     def _vanishing_at(z):
