@@ -103,6 +103,63 @@ def _row_eval_at_int(S: list[int], k: int) -> int:
     return acc
 
 
+def _first_nonroot(S: list[int]) -> int | None:
+    """First k in 1..m at which m! * p_m(k) != 0, or None.
+
+    The signed row is divided by (t - k) for k = 1, 2, ... by synthetic
+    division, and each quotient carries on to the next k. While
+    t = 1..k-1 are roots, p(t) = q(t) (t-1)...(t-k+1), so the remainder
+    q(k) vanishes exactly when p(k) does."""
+    c = [s if j % 2 == 0 else -s for j, s in enumerate(S)]
+    for k in range(1, len(S)):
+        acc = 0
+        for j in range(len(c) - 1, -1, -1):
+            acc = acc * k + c[j]
+            c[j] = acc  # c[1:] becomes the quotient, c[0] the remainder
+        if c[0]:
+            return k
+        del c[0]
+    return None
+
+
+_TOP_BITS = 62
+
+
+def _row_tops(S: list[int]) -> tuple[list[int], list[int], list[int]] | None:
+    """Tops of a positive integer row: S[j] = (t_j + delta_j) 2^e_j with
+    t_j = S[j] >> e_j below 2^62 and 0 <= delta_j < 1, delta_j = 0 when
+    e_j = 0. Returns (t, u, e) with u_j = t_j + 1 when e_j > 0 and t_j when
+    e_j = 0, so that t_j 2^e_j <= S[j] <= u_j 2^e_j.
+
+    None when an entry is not positive: a shift floors a negative int, and
+    squaring a negative lower end bounds nothing."""
+    t, u, e = [], [], []
+    for s in S:
+        if s <= 0:
+            return None
+        ej = max(s.bit_length() - _TOP_BITS, 0)
+        tj = s >> ej
+        t.append(tj)
+        u.append(tj + 1 if ej else tj)
+        e.append(ej)
+    return t, u, e
+
+
+def _tops_prove(tops: tuple[list[int], list[int], list[int]], j: int,
+                p: int, q: int) -> bool:
+    """True when q S_j^2 >= p S_{j-1} S_{j+1} (p, q >= 0) follows from the
+    row's tops: q t_j^2 2^(2e_j) <= q S_j^2 and
+    p S_{j-1} S_{j+1} <= p u_{j-1} u_{j+1} 2^(e_{j-1}+e_{j+1}). An integer
+    proof on numbers of about 130 bits; False means undecided."""
+    t, u, e = tops
+    lhs = q * t[j] * t[j]
+    rhs = p * u[j - 1] * u[j + 1]
+    d = 2 * e[j] - e[j - 1] - e[j + 1]
+    if d >= 0:
+        return lhs << d >= rhs
+    return lhs >= rhs << -d
+
+
 def coeff_table(m: int) -> CoeffTable:
     """Exact a_{m,j} by the row recurrence a_{m,j} = a_{m-1,j} + a_{m-1,j-1}/m."""
     if m < 0:
@@ -402,7 +459,9 @@ def a_invariant_witness(m_max: int, deep_roots: bool = True) -> Witness | None:
     Covers: a_0 = 1, a_1 = h_m, a_m = 1/m!, positivity, vanishing of p_m at
     t = 1..m (when deep_roots), log-concavity a_j^2 >= a_{j-1} a_{j+1},
     Newton's binomial-normalized log-concavity, and the resulting
-    non-increase of j a_j / a_{j-1}. All comparisons are integer-exact.
+    non-increase of j a_j / a_{j-1}. All comparisons are integer-exact: a
+    level is first proved from the row's 62-bit tops (`_tops_prove`), and
+    only a level they leave undecided compares the full products.
     """
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
@@ -428,30 +487,32 @@ def _row_witness(m: int, S: list[int], fm: int, h: Fraction,
             return Witness("a1=h_m", m, 1, Fraction(S[1], fm), h)
         if S[m] != 1:
             return Witness("am=1/m!", m, m, Fraction(S[m], fm), Fraction(1, fm))
-    if any(s <= 0 for s in S):
+    tops = _row_tops(S)
+    if tops is None:
         j = next(j for j, s in enumerate(S) if s <= 0)
         return Witness("positivity", m, j, Fraction(S[j], fm), Fraction(0))
     if deep_roots:
-        for k in range(1, m + 1):
-            v = _row_eval_at_int(S, k)
-            if v != 0:
-                return Witness("root-vanishing", m, k, Fraction(v, fm), Fraction(0))
+        k = _first_nonroot(S)
+        if k is not None:
+            return Witness("root-vanishing", m, k, Fraction(_row_eval_at_int(S, k), fm),
+                           Fraction(0))
     for j in range(1, m):
-        if S[j] * S[j] < S[j - 1] * S[j + 1]:
-            return Witness(
-                "log-concavity", m, j, Fraction(S[j] ** 2), Fraction(S[j - 1] * S[j + 1])
-            )
+        # Newton's inequality j(m-j) S_j^2 >= (j+1)(m-j+1) S_{j-1} S_{j+1}
+        # implies the other two checks at j
+        if _tops_prove(tops, j, (j + 1) * (m - j + 1), j * (m - j)):
+            continue
+        sq, ab = S[j] * S[j], S[j - 1] * S[j + 1]
+        if sq < ab:
+            return Witness("log-concavity", m, j, Fraction(sq), Fraction(ab))
         # j a_j / a_{j-1} non-increasing:  j S_j^2 >= (j+1) S_{j+1} S_{j-1}
-        if j * S[j] * S[j] < (j + 1) * S[j + 1] * S[j - 1]:
-            return Witness(
-                "newton-ratio", m, j,
-                Fraction(j * S[j] ** 2), Fraction((j + 1) * S[j + 1] * S[j - 1]),
-            )
-        # binomial-normalized log-concavity (Newton's inequalities)
-        lhs = S[j] * S[j] * comb(m, j - 1) * comb(m, j + 1)
-        rhs = S[j - 1] * S[j + 1] * comb(m, j) ** 2
-        if lhs < rhs:
-            return Witness("newton-binomial", m, j, Fraction(lhs), Fraction(rhs))
+        if j * sq < (j + 1) * ab:
+            return Witness("newton-ratio", m, j, Fraction(j * sq), Fraction((j + 1) * ab))
+        # binomial-normalized log-concavity (Newton's inequalities), with
+        # C(m, j)^2 divided out: C(m,j-1) C(m,j+1) / C(m,j)^2 = j(m-j) / ((j+1)(m-j+1))
+        if j * (m - j) * sq < (j + 1) * (m - j + 1) * ab:
+            return Witness("newton-binomial", m, j,
+                           Fraction(sq * comb(m, j - 1) * comb(m, j + 1)),
+                           Fraction(ab * comb(m, j) ** 2))
     return None
 
 

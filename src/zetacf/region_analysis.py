@@ -29,7 +29,9 @@ import mpmath as mp
 
 from .approx_eval import _convergents, _pf_value_at_prec, _to_mpc, build_f, build_g
 from .coeff_core import (
+    _row_tops,
     _stirling_row,
+    _tops_prove,
     bernoulli_table,
     c_sequences,
     harmonic,
@@ -537,7 +539,10 @@ def _ratio_bounds_row(m: int, S: list[int], h: Fraction) -> RatioBoundsResult:
                 m, False, j_max,
                 f"upper bound fails at j={j}: a_j/a_(j-1) > h/j")
         j += 1
+    tops = _row_tops(S)  # None when an entry is not positive: every level exact
     for j in range(1, m - 1):
+        if tops is not None and _tops_prove(tops, j, j + 1, j):
+            continue
         if j * S[j] * S[j] < (j + 1) * S[j + 1] * S[j - 1]:
             return RatioBoundsResult(
                 m, False, j_max, f"j*a_j/a_(j-1) increases at j={j}")

@@ -7,6 +7,7 @@ import pytest
 from zetacf import coeff_core
 from zetacf.coeff_core import (
     CoeffTable,
+    Witness,
     _bernoulli_akiyama_tanigawa,
     _bernoulli_recurrence,
     a_invariant_witness,
@@ -255,3 +256,109 @@ class TestInvariantSweeps:
 
     def test_growth_band_at_1000(self):
         assert growth_band_check()
+
+
+def _row_witness_reference(m, S, fm, h, deep_roots):
+    """The unfiltered row check: every level compared on the full products,
+    Newton's inequality with its binomials, and Horner at every root."""
+    if S[0] != fm:
+        return Witness("a0=1", m, 0, F(S[0], fm), F(1))
+    if m >= 1:
+        if S[1] * h.denominator != h.numerator * fm:
+            return Witness("a1=h_m", m, 1, F(S[1], fm), h)
+        if S[m] != 1:
+            return Witness("am=1/m!", m, m, F(S[m], fm), F(1, fm))
+    if any(s <= 0 for s in S):
+        j = next(j for j, s in enumerate(S) if s <= 0)
+        return Witness("positivity", m, j, F(S[j], fm), F(0))
+    if deep_roots:
+        for k in range(1, m + 1):
+            v = coeff_core._row_eval_at_int(S, k)
+            if v != 0:
+                return Witness("root-vanishing", m, k, F(v, fm), F(0))
+    for j in range(1, m):
+        if S[j] * S[j] < S[j - 1] * S[j + 1]:
+            return Witness("log-concavity", m, j, F(S[j] ** 2), F(S[j - 1] * S[j + 1]))
+        if j * S[j] * S[j] < (j + 1) * S[j + 1] * S[j - 1]:
+            return Witness("newton-ratio", m, j,
+                           F(j * S[j] ** 2), F((j + 1) * S[j + 1] * S[j - 1]))
+        lhs = S[j] * S[j] * comb(m, j - 1) * comb(m, j + 1)
+        rhs = S[j - 1] * S[j + 1] * comb(m, j) ** 2
+        if lhs < rhs:
+            return Witness("newton-binomial", m, j, F(lhs), F(rhs))
+    return None
+
+
+def _row_check(S, deep_roots=False):
+    """Both row checks on S, read as m! a_{m,.} with fm = S[0], h = S[1]/S[0]."""
+    m, fm, h = len(S) - 1, S[0], F(S[1], S[0])
+    return (coeff_core._row_witness(m, S, fm, h, deep_roots),
+            _row_witness_reference(m, S, fm, h, deep_roots))
+
+
+def _crafted_row(j, p, q):
+    """A row m = 8 of 200-bit entries failing q S_j^2 >= p S_{j-1} S_{j+1}
+    at j by one unit of S_{j+1}, and passing every check at the levels
+    before j.
+
+    S_i = 2^(225 - (2i-1)^2) clears Newton's inequalities by a factor of at
+    least 2^8 at every level, with S_0 = S_1 and S_8 = 1. Then S_{j-1} gets
+    all-ones low bits (its top loses almost one unit), S_j keeps an exact
+    top, and S_{j+1} becomes the least integer that fails: one less holds."""
+    S = [1 << (225 - (2 * i - 1) ** 2) for i in range(9)]
+    S[j - 1] |= (1 << (S[j - 1].bit_length() - 62)) - 1
+    S[j + 1] = q * S[j] ** 2 // (p * S[j - 1]) + 1
+    assert p * S[j - 1] * (S[j + 1] - 1) <= q * S[j] ** 2 < p * S[j - 1] * S[j + 1]
+    return S
+
+
+class TestRowWitnessReference:
+    @pytest.mark.parametrize("deep_roots", [True, False])
+    def test_every_row_to_150(self, deep_roots):
+        fm = 1
+        for (m, S), h in zip(coeff_core.stirling_rows(150), harmonic_sums(150)):
+            fm *= max(m, 1)
+            assert (coeff_core._row_witness(m, S, fm, h, deep_roots)
+                    == _row_witness_reference(m, S, fm, h, deep_roots) is None)
+
+    @pytest.mark.parametrize("check, j, p, q", [
+        ("log-concavity", 3, 1, 1),
+        ("newton-ratio", 3, 4, 3),
+        ("newton-ratio", 5, 6, 5),
+        ("newton-binomial", 3, 4 * 6, 3 * 5),
+        ("newton-binomial", 4, 5 * 5, 4 * 4),
+    ])
+    def test_crafted_row_missing_by_one(self, check, j, p, q):
+        S = _crafted_row(j, p, q)
+        tops = coeff_core._row_tops(S)
+        assert all(coeff_core._tops_prove(tops, i, (i + 1) * (9 - i), i * (8 - i))
+                   for i in range(1, j))  # the levels before j never reach the fallback
+        got, ref = _row_check(S)
+        assert got == ref and (got.check, got.m, got.index) == (check, 8, j)
+        assert str(got) == str(ref)
+        # one unit inside, this inequality holds; a stronger one may still fail
+        S[j + 1] -= 1
+        got, ref = _row_check(S)
+        assert got == ref and (got is None or (got.index, got.check) != (j, check))
+
+    @pytest.mark.parametrize("S, text", [
+        ([6, 11, 0, 1], "positivity fails at m=3, index 2: 0 vs 0"),
+        ([6, 11, -6, 1], "positivity fails at m=3, index 2: -1 vs 0"),
+        ([6, 5, 6, 1], "log-concavity fails at m=3, index 1: 25 vs 36"),
+        ([6, 7, 6, 1], "newton-ratio fails at m=3, index 1: 49 vs 72"),
+        ([6, 10, 6, 1], "newton-binomial fails at m=3, index 1: 300 vs 324"),
+    ])
+    def test_witness_golden(self, S, text):
+        got, ref = _row_check(S)
+        assert str(got) == str(ref) == text
+
+    def test_root_vanishing_past_the_first_root(self):
+        # m! p(t) = (1-t)(2-t)(3-t)(4-t)(6-t): roots 1..4, not 5
+        p = Poly([1])
+        for r in (1, 2, 3, 4, 6):
+            p = p * Poly([r, -1])
+        S = [int(x) if j % 2 == 0 else -int(x) for j, x in enumerate(p.coeffs)]
+        got, ref = _row_check(S, deep_roots=True)
+        assert got == ref
+        assert str(got) == "root-vanishing fails at m=5, index 5: 1/6 vs 0"
+        assert got.lhs == F(coeff_core._row_eval_at_int(S, 5), S[0]) == F(24, 144)

@@ -376,6 +376,91 @@ class TestRatioBounds:
         assert ratio_bounds_check(32).lemma_j_max == 2
 
 
+def _ratio_bounds_row_reference(m, S, h):
+    """The unfiltered ratio-bounds check: every level of the Newton loop
+    compared on the full products."""
+    hnum, hden = h.numerator, h.denominator
+    j_max = 0
+    j = 1
+    while (j == 1 or 2 * j * hden <= hnum) and j <= m - 1:
+        j_max = j
+        if (hnum - hden) * S[j - 1] > j * hden * S[j]:
+            return ra.RatioBoundsResult(
+                m, False, j_max, f"lower bound fails at j={j}: (h-1)/j > a_j/a_(j-1)")
+        if j * hden * S[j] > hnum * S[j - 1]:
+            return ra.RatioBoundsResult(
+                m, False, j_max, f"upper bound fails at j={j}: a_j/a_(j-1) > h/j")
+        j += 1
+    for j in range(1, m - 1):
+        if j * S[j] * S[j] < (j + 1) * S[j + 1] * S[j - 1]:
+            return ra.RatioBoundsResult(m, False, j_max, f"j*a_j/a_(j-1) increases at j={j}")
+    return ra.RatioBoundsResult(m, True, j_max, None)
+
+
+def _ratio_rows(m, S, h):
+    return ra._ratio_bounds_row(m, S, h), _ratio_bounds_row_reference(m, S, h)
+
+
+def _negative_pair_row():
+    """A row failing 3 S_3^2 >= 4 S_2 S_4 with S_2 = S_4 < 0, where tops
+    taken by shifting would prove it: S_2 >> e floors to -(2^61 + 1), so
+    the 'upper end' (2^61)^2 2^(2e) of S_2 S_4 lies below the product."""
+    T, e = 1 << 61, 200
+    a = -((T + 1 << e) - 1)
+    B = math.isqrt(4 * T * T // 3)
+    while 3 * B * B < 4 * T * T:
+        B += 1
+    b = B << e  # an exact top with 3 b^2 >= 4 (2^61)^2 2^(2e)
+    assert 3 * b * b < 4 * a * a
+    return [6, 11, a, b, a]
+
+
+class TestRatioBoundsReference:
+    def test_every_row_to_150(self):
+        for n, S in stirling_rows(149):
+            if n >= 1:
+                got, ref = _ratio_rows(n + 1, S, coeff_table(n).a[1])
+                assert got == ref and got.passed
+
+    @pytest.mark.parametrize("j", [1, 3, 6])
+    def test_crafted_row_missing_by_one(self, j):
+        # S_i = 2^(300 - (2i-1)^2) clears j S_j^2 >= (j+1) S_{j-1} S_{j+1} by
+        # a factor of at least 2^8 with S_0 = S_1, so h = 1 passes both bounds
+        # at j = 1 and ends the bound loop. Then S_{j-1} gets all-ones low
+        # bits, S_j keeps an exact top and S_{j+1} is the least integer failing.
+        S = [1 << (300 - (2 * i - 1) ** 2) for i in range(9)]
+        S[j - 1] |= (1 << (S[j - 1].bit_length() - 62)) - 1
+        S[j + 1] = j * S[j] ** 2 // ((j + 1) * S[j - 1]) + 1
+        got, ref = _ratio_rows(9, S, F(1))
+        assert got == ref == ra.RatioBoundsResult(
+            9, False, 1, f"j*a_j/a_(j-1) increases at j={j}")
+        S[j + 1] -= 1
+        got, ref = _ratio_rows(9, S, F(1))
+        assert got == ref and got.witness != f"j*a_j/a_(j-1) increases at j={j}"
+
+    @pytest.mark.parametrize("S, h, witness", [
+        ([2, 3, 1], F(3), "lower bound fails at j=1: (h-1)/j > a_j/a_(j-1)"),
+        ([2, 3, 1], F(1), "upper bound fails at j=1: a_j/a_(j-1) > h/j"),
+        ([6, 7, 6, 1], F(7, 6), "j*a_j/a_(j-1) increases at j=1"),
+    ])
+    def test_failure_golden(self, S, h, witness):
+        got, ref = _ratio_rows(len(S), S, h)
+        assert got == ref == ra.RatioBoundsResult(len(S), False, 1, witness)
+
+    @pytest.mark.parametrize("S, witness", [
+        ([6, 11, 0, 1], "j*a_j/a_(j-1) increases at j=2"),
+        ([6, 11, -6, 1], None),
+        (_negative_pair_row(), "j*a_j/a_(j-1) increases at j=3"),
+    ])
+    def test_non_positive_entry_skips_the_tops(self, S, witness, monkeypatch):
+        def no_tops(*args):
+            raise AssertionError("a row with a non-positive entry reached the tops")
+
+        monkeypatch.setattr(ra, "_tops_prove", no_tops)
+        got, ref = _ratio_rows(len(S), S, F(11, 6))
+        assert got == ref and got.witness == witness
+
+
 class TestZeroScan:
     def test_g3_winding_zero(self):
         # roots of s^2+6s+11 are -3 +/- i sqrt(2): far outside [0,1]x[-2,2]
