@@ -21,6 +21,8 @@ from pathlib import Path
 
 from . import __version__
 from .coeff_core import (
+    _row_tops,
+    _tops_prove,
     a_invariant_witness,
     bernoulli_table,
     c1_identity_witness,
@@ -48,7 +50,6 @@ from .region_analysis import (
 from .serialize import (
     SCHEMA,
     convergence_payload,
-    decimal30,
     dump_csv,
     dump_json,
     frac_str,
@@ -197,10 +198,13 @@ def _cmd_coeffs(args, cfg: RunConfig, argv: list[str], parser) -> int:
             values = sinh_series(args.r_squared, n).d
             extra = {"r_squared": frac_str(args.r_squared), "n_terms": n}
     payload = table_payload(f"coeffs_{kind}", "index", values, extra)
-    rows = [
-        (i, v.numerator, v.denominator, decimal30(v)) for i, v in enumerate(values)
-    ]
-    _emit(cfg, "coeffs", argv, payload, (("index", "numerator", "denominator", "decimal30"), rows))
+    csv_data = None
+    if cfg.format == "csv":
+        # each value's decimal was computed once, for the payload
+        rows = [(r["index"], v.numerator, v.denominator, r["decimal"])
+                for r, v in zip(payload["rows"], values)]
+        csv_data = (("index", "numerator", "denominator", "decimal30"), rows)
+    _emit(cfg, "coeffs", argv, payload, csv_data)
     return EXIT_PASS
 
 
@@ -248,14 +252,19 @@ def _verify_binomial_cf(m_max: int) -> str | None:
 
 def _verify_sinh(n_terms: int) -> str | None:
     # d[k] = num[k] / den with den > 0, so signs and log-concavity are
-    # decided on the integer row; Fractions are built only for a witness
+    # decided on the integer row; Fractions are built only for a witness.
+    # A level is first proved from the row's 62-bit tops, and only a level
+    # they leave undecided compares the full products.
     for r2 in _SINH_R2:
         s = sinh_series(r2, n_terms)
         row = s.num
         for k, v in enumerate(row):
             if v <= 0:
                 return f"d[{k}] <= 0 at r^2={frac_str(r2)}: {frac_str(s.d[k])}"
+        tops = _row_tops(row)  # not None: every entry is positive
         for k in range(1, len(row) - 1):
+            if _tops_prove(tops, k, 1, 1):
+                continue
             if row[k] * row[k] < row[k - 1] * row[k + 1]:
                 d = s.d
                 return (f"log-concavity fails at r^2={frac_str(r2)}, k={k}: "

@@ -290,11 +290,16 @@ def _t_row(m: int, S: list[int]) -> tuple[list[int], int]:
 
 
 def _c_from_int_row(m: int, S: list[int]) -> tuple[Fraction, ...]:
+    # sum_j T_j C(j, k-1) is the coefficient of x^(k-1) in
+    # sum_j T_j (x+1)^j: shift the row by 1 in place, J^2/2 additions
     T, D = _t_row(m, S)
     J = len(T) - 1
+    for i in range(J):
+        for j in range(J - 1, i - 1, -1):
+            T[j] += T[j + 1]
     out = [Fraction(1)]
     for k in range(1, J + 2):
-        s = (m + 1) * sum(T[j] * comb(j, k - 1) for j in range(k - 1, J + 1))
+        s = (m + 1) * T[k - 1]
         out.append(Fraction(s if k % 2 == 1 else -s, D))
     return tuple(out)
 
@@ -410,9 +415,9 @@ def sinh_series(r_squared, n_terms: int) -> SinhSeries:
     h_i = D r^(2i) / (2i+2)! of D H_N(u) are integers, and so are the
     z-coefficients g_k = (-1)^k sum_{i>=k} C(i,k) h_i of D H_N(1-z). Their
     inverse is e_k / u^(k+1) with u = g_0 > 0, e_0 = 1 and
-    e_k = -sum_{j=1..k} g_j u^(j-1) e_{k-j}, so d_k = 2 D e_k / u^(k+1),
-    kept over the shared denominator u^N. r_squared = 0 is the degenerate
-    limit and yields the constant series 4.
+    e_k = -sum_{j=1..k} g_j u^(j-1) e_{k-j}, evaluated by Horner in u, so
+    d_k = 2 D e_k / u^(k+1), kept over the shared denominator u^N.
+    r_squared = 0 is the degenerate limit and yields the constant series 4.
     """
     r2 = Fraction(r_squared)
     if r2 < 0:
@@ -425,13 +430,20 @@ def sinh_series(r_squared, n_terms: int) -> SinhSeries:
     h = [f2N // factorial(2 * i + 2) * p**i * q ** (N - 1 - i) for i in range(N)]
     g = [sum(comb(i, k) * h[i] for i in range(k, N)) * (-1) ** k for k in range(N)]
     u = g[0]
-    gu = [0] + [g[j] * u ** (j - 1) for j in range(1, N)]  # g_j u^(j-1)
     e = [1]
     for k in range(1, N):
-        e.append(-sum(gu[j] * e[k - j] for j in range(1, k + 1)))
+        # Horner in u, so each product has one operand of about u's size
+        acc = 0
+        for j in range(k, 0, -1):
+            acc = acc * u + g[j] * e[k - j]
+        e.append(-acc)
     two_D = 2 * f2N * q ** (N - 1)
-    num = tuple(two_D * e[k] * u ** (N - 1 - k) for k in range(N))
-    return SinhSeries(r2, num, u**N)
+    num = [0] * N
+    pw = 1  # u^(N-1-k), and u^N after the loop
+    for k in range(N - 1, -1, -1):
+        num[k] = two_D * e[k] * pw
+        pw *= u
+    return SinhSeries(r2, tuple(num), pw)
 
 
 # ---------------------------------------------------------------------------

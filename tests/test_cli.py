@@ -8,8 +8,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from zetacf import cli
+from zetacf import cli, coeff_core
 from zetacf.coeff_core import SinhSeries, Witness
+from zetacf.serialize import frac_str
 
 
 @pytest.fixture(autouse=True)
@@ -149,6 +150,41 @@ class TestVerify:
         assert code == 1
         doc = json.loads(out.read_text())
         assert doc["pass"] is False and doc["witness"] == witness
+
+    @pytest.mark.parametrize("fails", [True, False])
+    def test_sinh_tops_fallback(self, fails, tmp_path, monkeypatch):
+        # 200-bit rows whose tops cannot decide k = 1, so the exact products
+        # must: consecutive Fibonacci numbers miss log-concavity by one unit
+        # (Cassini: F_289 F_291 = F_290^2 + 1), and x^2, xy, y^2 holds with
+        # equality
+        if fails:
+            a, b = 0, 1
+            for _ in range(289):
+                a, b = b, a + b
+            num = (a, b, a + b)
+        else:
+            x, y = 2**100 + 3, 2**100 + 7
+            num = (x * x, x * y, y * y)
+        assert num[0] * num[2] - num[1] ** 2 == (1 if fails else 0)
+        assert min(v.bit_length() for v in num) >= 200
+        tops_said = []
+
+        def tops_prove(tops, k, p, q):
+            tops_said.append(coeff_core._tops_prove(tops, k, p, q))
+            return tops_said[-1]
+
+        monkeypatch.setattr(cli, "_tops_prove", tops_prove)
+        monkeypatch.setattr(cli, "sinh_series",
+                            lambda r2, n: SinhSeries(Fraction(r2), num, 4))
+        code, out = run_cli(["verify", "logconcave-sinh", "3"], tmp_path)
+        doc = json.loads(out.read_text())
+        if fails:
+            assert tops_said == [False] and code == 1 and doc["pass"] is False
+            sq, ab = Fraction(num[1] ** 2, 16), Fraction(num[0] * num[2], 16)
+            assert doc["witness"] == (f"log-concavity fails at r^2=1/4, k=1: "
+                                      f"{frac_str(sq)} < {frac_str(ab)}")
+        else:
+            assert tops_said == [False] * 4 and code == 0 and doc["pass"] is True
 
 
 class TestScan:

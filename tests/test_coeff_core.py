@@ -237,6 +237,25 @@ class TestSinhSeries:
         assert s.d == (Hz.inverse() * 2).coeffs
         assert s.den > 0 and len(s.num) == n
 
+    @pytest.mark.parametrize("r2", [F(0), F(1, 4), F(1), F(3, 7), F(100), F(10000),
+                                    F(10**9, 7)])
+    @pytest.mark.parametrize("n", [1, 2, 3, 60])
+    def test_matches_power_sum_recurrence(self, r2, n):
+        # reference: the inverse recurrence as a sum over the powers g_j u^(j-1)
+        p, q = r2.numerator, r2.denominator
+        f2N = factorial(2 * n)
+        h = [f2N // factorial(2 * i + 2) * p**i * q ** (n - 1 - i) for i in range(n)]
+        g = [sum(comb(i, k) * h[i] for i in range(k, n)) * (-1) ** k for k in range(n)]
+        u = g[0]
+        gu = [0] + [g[j] * u ** (j - 1) for j in range(1, n)]
+        e = [1]
+        for k in range(1, n):
+            e.append(-sum(gu[j] * e[k - j] for j in range(1, k + 1)))
+        two_D = 2 * f2N * q ** (n - 1)
+        s = sinh_series(r2, n)
+        assert s.num == tuple(two_D * e[k] * u ** (n - 1 - k) for k in range(n))
+        assert s.den == u**n
+
     def test_bad_args(self):
         with pytest.raises(ValueError):
             sinh_series(-1, 5)
