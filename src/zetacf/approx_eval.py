@@ -21,17 +21,30 @@ identity at rational sample points before being returned.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import factorial, gcd, lcm
 
 import mpmath as mp
-from mpmath.libmp import from_rational
+from mpmath.libmp import (
+    from_int,
+    from_rational,
+    fzero,
+    mpc_add,
+    mpc_add_mpf,
+    mpc_div,
+    mpc_is_nonzero,
+    mpc_mpf_div,
+    mpc_mul,
+    mpc_sub_mpf,
+    round_nearest,
+)
 
 from .coeff_core import bernoulli_table, c_direct, coeff_table
 from .errors import InternalConsistencyError, ZeroDenominatorError
 from .qcomplex import QComplex
-from .series import Poly
+from .series import Poly, _gaussian_horner
 
 __all__ = [
     "PartialFraction",
@@ -57,6 +70,11 @@ __all__ = [
 
 _CHECK_POINTS = (Fraction(7, 3), Fraction(10, 3), Fraction(17, 5))
 
+# The rounding of mpmath's arithmetic operators, which its context fixes; the
+# mpmath paths below call the libmp functions those operators call, on raw
+# values, so the bits are the same.
+_RND = round_nearest
+
 
 # ---------------------------------------------------------------------------
 # partial fractions
@@ -70,6 +88,8 @@ class PartialFraction:
     terms: tuple[tuple[int, Fraction], ...]
     kind: str = ""
     m: int = 0
+    # working precision -> the residues rounded at it (`_residues_at`)
+    _rounded: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         poles = [p for p, _ in self.terms]
@@ -79,6 +99,17 @@ class PartialFraction:
     @property
     def poles(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.terms)
+
+    def _residues_at(self, prec: int) -> tuple:
+        """The residues as raw mpf values, each rounded by
+        `mp.mpf(r.numerator) / r.denominator` at `prec` bits, once per
+        precision."""
+        rounded = self._rounded.get(prec)
+        if rounded is None:
+            with mp.workprec(prec):
+                rounded = tuple((mp.mpf(r.numerator) / r.denominator)._mpf_ for _, r in self.terms)
+            self._rounded[prec] = rounded
+        return rounded
 
 
 @dataclass(frozen=True)
@@ -174,22 +205,40 @@ def _to_mpc(s) -> mp.mpc:
 
 
 def _pf_value_at_prec(pf: PartialFraction, s, prec: int) -> mp.mpc:
+    """sum of residue / (s - pole) at `prec` bits: the operations of mpc
+    arithmetic on the rounded residues, on raw values."""
     with mp.workprec(prec):
-        z = _to_mpc(s)
-        acc = mp.mpc(0)
-        for p, r in pf.terms:
-            acc += mp.mpf(r.numerator) / r.denominator / (z - p)
-        return acc
+        z = _to_mpc(s)._mpc_
+    acc = (fzero, fzero)
+    for p, r in zip(pf.poles, pf._residues_at(prec)):
+        acc = mpc_add(acc, mpc_mpf_div(r, mpc_sub_mpf(z, from_int(p), prec, _RND), prec, _RND),
+                      prec, _RND)
+    return mp.make_mpc(acc)
+
+
+def _pole_at(pf: PartialFraction, s) -> int | None:
+    """The pole that s equals exactly, compared as given (no rounding)."""
+    re, im = (s.re, s.im) if isinstance(s, QComplex) else (s.real, s.imag)
+    if im == 0:
+        for p in pf.poles:
+            if re == p:
+                return p
+    return None
 
 
 def eval_pf_precise(pf: PartialFraction, s, precision: int = 256) -> ComplexValue:
     """Evaluate at complex s with `precision` working bits.
 
     The result is re-computed at 128 bits and the disagreement recorded, so
-    precision loss is observable rather than assumed.
+    precision loss is observable rather than assumed. Raises ValueError
+    when s is exactly a pole.
     """
     if precision < 53:
         raise ValueError("precision must be at least 53 bits")
+    pole = _pole_at(pf, s)
+    if pole is not None:
+        family = f"{pf.kind}_{pf.m}" if pf.kind else "the partial fraction"
+        raise ValueError(f"s = {s} is the pole {pole} of {family}")
     v = _pf_value_at_prec(pf, s, precision + 10)
     width = float(abs(v - _pf_value_at_prec(pf, s, 128)))
     with mp.workprec(precision):
@@ -319,11 +368,46 @@ class ContinuedFraction:
     kind: str
     m: int
     levels: tuple[CFLevel, ...]
+    # working precision -> the levels' coefficients rounded at it (`_rounded_levels`)
+    _rounded: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def depth(self) -> int:
         """Number of levels: one less than the number of expansion terms."""
         return len(self.levels)
+
+    @cached_property
+    def _integer_levels(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        """The levels as integer rows (num, den), ascending, by the
+        equivalence transformation a_j -> c_{j-1} c_j a_j, b_j -> c_j b_j
+        (Lorentzen & Waadeland, Continued Fractions with Applications, 1992,
+        ch. 1) with c_0 = 1 and
+        c_j = lcm(den b_j, den a_j / gcd(den a_j, c_{j-1})), den the lcm of a
+        level's coefficient denominators. It keeps the value and every
+        convergent, and multiplies the j-th tail denominator by c_j > 0, so
+        a denominator vanishes at the same level."""
+        rows = []
+        c_prev = 1
+        for lv in self.levels:
+            a_den = lcm(*(c.denominator for c in lv.num.coeffs))
+            c = lcm(*(c.denominator for c in lv.den.coeffs), a_den // gcd(a_den, c_prev))
+            a_scale = c_prev * c
+            rows.append((tuple(x.numerator * (a_scale // x.denominator) for x in lv.num.coeffs),
+                         tuple(x.numerator * (c // x.denominator) for x in lv.den.coeffs)))
+            c_prev = c
+        return tuple(rows)
+
+    def _rounded_levels(self, prec: int) -> tuple:
+        """Per level (num, den), the coefficients as raw mpf values rounded
+        by `from_rational` at `prec` bits, the rounding mpmath applies to a
+        Fraction operand (after re-reducing it); once per precision."""
+        rounded = self._rounded.get(prec)
+        if rounded is None:
+            rounded = self._rounded[prec] = tuple(
+                tuple(tuple(from_rational(c.numerator, c.denominator, prec) for c in poly.coeffs)
+                      for poly in (lv.num, lv.den))
+                for lv in self.levels)
+        return rounded
 
 
 @dataclass(frozen=True)
@@ -382,11 +466,13 @@ def euler_cf(exp: FactorialExpansion) -> ContinuedFraction:
     return cf
 
 
-def _cf_backward(levels, x: int, y: int, d: int) -> tuple[int, int, int]:
+def _cf_backward(rows, x: int, y: int, d: int) -> tuple[int, int, int]:
     """The value at s = (x + iy)/d, d > 0, as integers (p_re, p_im, q) with
-    value (p_re + i p_im)/q, by the backward recurrence on Gaussian integers.
+    value (p_re + i p_im)/q, by the backward recurrence on Gaussian integers
+    over the integer levels (`ContinuedFraction._integer_levels`).
 
-    With acc = p/q, num(s) = u/u_den and den(s) = v/v_den (`gaussian_horner`),
+    With acc = p/q, num(s) = u/u_den and den(s) = v/v_den
+    (`_gaussian_horner`, u_den and v_den powers of d),
     den(s) + acc = w/(v_den q) with w = v q + p v_den, so
     num(s)/(den(s) + acc) = u v_den q conj(w) / (u_den |w|^2). Each level
     divides out gcd(p_re, p_im, q): without it the |w|^2 factor about
@@ -395,9 +481,10 @@ def _cf_backward(levels, x: int, y: int, d: int) -> tuple[int, int, int]:
     """
     p_re = p_im = 0
     q = 1
-    for idx in range(len(levels) - 1, -1, -1):
-        u_re, u_im, u_den = levels[idx].num.gaussian_horner(x, y, d)
-        v_re, v_im, v_den = levels[idx].den.gaussian_horner(x, y, d)
+    for idx in range(len(rows) - 1, -1, -1):
+        num, den = rows[idx]
+        u_re, u_im, u_den = _gaussian_horner(num, x, y, d)
+        v_re, v_im, v_den = _gaussian_horner(den, x, y, d)
         w_re = v_re * q + p_re * v_den
         w_im = v_im * q + p_im * v_den
         if not (w_re or w_im):
@@ -411,31 +498,30 @@ def _cf_backward(levels, x: int, y: int, d: int) -> tuple[int, int, int]:
     return p_re, p_im, q
 
 
-def _mp_values(levels, z: mp.mpc) -> list[tuple[mp.mpc, mp.mpc]]:
-    """(num(z), den(z)) per level at the working precision. Each coefficient
-    is rounded once by `from_rational`, the rounding mpmath applies to a
-    Fraction operand (after re-reducing it), so the values are the same bits
-    as Horner on the Fractions themselves."""
-    prec = mp.mp.prec
+def _mp_values(rounded, z: tuple, prec: int) -> list[tuple[tuple, tuple]]:
+    """(num(z), den(z)) per level as raw mpc values at `prec` bits, by Horner
+    from the leading rounded coefficient (`_rounded_levels`): the operations
+    of mpc arithmetic with each coefficient a Fraction operand, so the same
+    bits as Horner on the Fractions themselves."""
 
-    def horner(poly):
-        acc = z * 0
-        for c in reversed(poly.coeffs):
-            acc = acc * z + mp.make_mpf(from_rational(c.numerator, c.denominator, prec))
+    def horner(coeffs):
+        acc = (coeffs[-1], fzero)
+        for c in coeffs[-2::-1]:
+            acc = mpc_add_mpf(mpc_mul(acc, z, prec, _RND), c, prec, _RND)
         return acc
 
-    return [(horner(lv.num), horner(lv.den)) for lv in levels]
+    return [(horner(num), horner(den)) for num, den in rounded]
 
 
-def _mp_backward(values) -> mp.mpc:
-    acc = mp.mpc(0)
+def _mp_backward(values, prec: int) -> mp.mpc:
+    acc = (fzero, fzero)
     for idx in range(len(values) - 1, -1, -1):
         num_v, den_v = values[idx]
-        den_v = den_v + acc
-        if den_v == 0:
+        den_v = mpc_add(den_v, acc, prec, _RND)
+        if not mpc_is_nonzero(den_v):
             raise ZeroDenominatorError(idx)
-        acc = num_v / den_v
-    return acc
+        acc = mpc_div(num_v, den_v, prec, _RND)
+    return mp.make_mpc(acc)
 
 
 def eval_cf(cf: ContinuedFraction, s, depth: int | None = None,
@@ -446,7 +532,9 @@ def eval_cf(cf: ContinuedFraction, s, depth: int | None = None,
     level); None uses all of them. Exact when s is a Fraction or QComplex.
     With trace=True the forward three-term recurrences are run as well and
     the convergent values plus their denominators q_n are returned, so
-    truncation behavior is observable.
+    truncation behavior is observable. The exact recurrence runs on the
+    integer levels and the mpmath one on coefficients rounded once per
+    precision; both are computed on first use and kept on `cf`.
 
     Raises ZeroDenominatorError when a denominator vanishes exactly (the
     blow-up event the element test is designed to exclude).
@@ -455,33 +543,39 @@ def eval_cf(cf: ContinuedFraction, s, depth: int | None = None,
         depth = cf.depth - 1
     if not (0 <= depth < cf.depth):
         raise ValueError(f"depth must be in [0, {cf.depth - 1}]")
-    levels = cf.levels[: depth + 1]
 
     if isinstance(s, (int, Fraction, QComplex)):
         if not isinstance(s, QComplex):
             s = Fraction(s)
-        p_re, p_im, q = _cf_backward(levels, *QComplex.from_value(s).gaussian())
+        p_re, p_im, q = _cf_backward(cf._integer_levels[: depth + 1],
+                                     *QComplex.from_value(s).gaussian())
         value = (QComplex(Fraction(p_re, q), Fraction(p_im, q)) if isinstance(s, QComplex)
                  else Fraction(p_re, q))
         convergents = denominators = None
         if trace:
-            convergents, denominators = _cf_forward([(lv.num(s), lv.den(s)) for lv in levels])
+            convergents, denominators = _cf_forward(
+                [(lv.num(s), lv.den(s)) for lv in cf.levels[: depth + 1]])
             if convergents[-1] != value:
                 raise InternalConsistencyError("forward and backward CF evaluations disagree")
         return CFEvaluation(value, depth + 1, convergents, denominators)
 
-    with mp.workprec(precision + 10):
-        values = _mp_values(levels, _to_mpc(s))
-        v = _mp_backward(values)
-    with mp.workprec(128):
-        v128 = _mp_backward(_mp_values(levels, _to_mpc(s)))
+    def values_at(prec):
+        with mp.workprec(prec):
+            z = _to_mpc(s)._mpc_
+        return _mp_values(cf._rounded_levels(prec)[: depth + 1], z, prec)
+
+    prec = precision + 10
+    values = values_at(prec)
+    v = _mp_backward(values, prec)
+    v128 = _mp_backward(values_at(128), 128)
     width = float(abs(v - v128))
     with mp.workprec(precision):
         cv = ComplexValue(+v.real, +v.imag, precision, width)
     convergents = denominators = None
     if trace:
-        with mp.workprec(precision + 10):
-            convergents, denominators = _cf_forward(values)
+        with mp.workprec(prec):
+            convergents, denominators = _cf_forward(
+                [(mp.make_mpc(a), mp.make_mpc(b)) for a, b in values])
     return CFEvaluation(cv, depth + 1, convergents, denominators, width)
 
 

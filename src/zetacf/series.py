@@ -59,6 +59,19 @@ def _mul_coeffs(a, b, n: int, zero) -> list:
     return out
 
 
+def _gaussian_horner(row, x: int, y: int, d: int) -> tuple[int, int, int]:
+    """The polynomial with integer coefficients `row` (ascending) at
+    (x + iy)/d, d > 0, as integers (re, im, d^n) with value (re + i im)/d^n,
+    unreduced: Horner on the Gaussian integer x + iy with coefficient k
+    scaled by d^(n-k), so no step divides."""
+    re = im = 0
+    scale = 1  # d^(n-k) for the coefficient k about to be added
+    for c in reversed(row):
+        re, im = re * x - im * y + c * scale, re * y + im * x
+        scale *= d
+    return re, im, scale // d
+
+
 class Poly:
     """Dense univariate polynomial with Fraction coefficients, ascending order."""
 
@@ -158,15 +171,11 @@ class Poly:
         value (re + i im)/den, unreduced.
 
         The coefficients are cleared to integers N_k over L = lcm of their
-        denominators, and Horner runs on the Gaussian integer x + iy with
-        N_k scaled by d^(n-k), so den = L d^n and no step divides."""
+        denominators, and `_gaussian_horner` runs on them, so den = L d^n."""
         L = lcm(*(c.denominator for c in self.coeffs))
-        re = im = 0
-        scale = 1  # d^(n-k) for the coefficient k about to be added
-        for c in reversed(self.coeffs):
-            re, im = re * x - im * y + c.numerator * (L // c.denominator) * scale, re * y + im * x
-            scale *= d
-        return re, im, L * scale // d
+        re, im, den = _gaussian_horner([c.numerator * (L // c.denominator) for c in self.coeffs],
+                                       x, y, d)
+        return re, im, L * den
 
     # -- normalization ------------------------------------------------------
 

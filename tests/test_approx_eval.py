@@ -74,6 +74,28 @@ def reference_mp(levels, z, precision):
         return (+v.real)._mpf_, (+v.imag)._mpf_, width
 
 
+def bits(ev):
+    """Every bit of an eval_cf result: exact value, or mpmath parts and width."""
+    if ev.cross_width is None:
+        return ev.value, ev.levels_used
+    return ev.value.real._mpf_, ev.value.imaginary._mpf_, ev.cross_width, ev.levels_used
+
+
+# Levels with fractional coefficients for the integer-level transformation:
+# the denominators 4 and 15 give c_1 = 60; 56 shares 4 with it, so
+# c_2 = lcm(9, 56/4) = 126 depends on c_1; then a zero numerator with a
+# degree-2 denominator, a constant denominator, a degree-2 numerator, and a
+# numerator denominator (13) coprime to everything before it.
+CRAFTED = (
+    CFLevel(Poly([F(3, 4)]), Poly([F(1, 3), F(2, 5)])),
+    CFLevel(Poly([F(5, 7), F(1, 8)]), Poly([F(2, 9)])),
+    CFLevel(Poly([0]), Poly([F(1, 6), F(1, 10), F(1, 15)])),
+    CFLevel(Poly([F(-7, 3)]), Poly([F(5, 2)])),
+    CFLevel(Poly([F(1, 11), 0, F(-2, 3)]), Poly([F(7, 2), 1])),
+    CFLevel(Poly([F(4, 13), F(-1, 13)]), Poly([3, F(1, 2)])),
+)
+
+
 class TestBuild:
     def test_g3_golden(self):
         g3 = build_g(3)
@@ -344,6 +366,25 @@ class TestEvalCf:
             ((top, CFLevel(Poly([F(-3, 4)]), self._vanishing_at(z)), inner), z, 1),
             ((CFLevel(Poly([1]), self._vanishing_at(z)), inner), z, 0),
             ((CFLevel(Poly([1]), Poly([0, 1])), inner), mp.mpc(0, 1), 0),  # i + 1/i
+            ((*CRAFTED[:4], CFLevel(Poly([1]), self._vanishing_at(z)), inner), z, 4),
+            ((*CRAFTED[:2], CFLevel(Poly([F(2, 3)]), Poly([F(-1, 2), F(1, 4)]))), F(2), 2),
+        ]
+        for levels, s, level in cases:
+            with pytest.raises(ZeroDenominatorError) as ref:
+                reference_backward(levels, s)
+            assert ref.value.level == level
+            with pytest.raises(ZeroDenominatorError) as got:
+                eval_cf(ContinuedFraction("G", 0, levels), s)
+            assert got.value.level == level, (levels, s)
+
+    def test_zero_denominator_on_integer_levels(self):
+        # tails of the crafted levels (c_j > 1) that vanish at a deeper level
+        z = QComplex(F(1, 3), F(2, 7))
+        inner = CFLevel(Poly([1]), Poly([0, 1]))  # 1/s
+        cases = [
+            ((*CRAFTED[:2], CFLevel(Poly([F(2, 3)]), Poly([F(-1, 2), F(1, 4)]))), F(2), 2),
+            ((*CRAFTED[:3], CFLevel(Poly([F(-3, 4)]), self._vanishing_at(z)), inner), z, 3),
+            ((*CRAFTED, CFLevel(Poly([F(5, 3)]), Poly([F(-1, 2), F(1, 4)]))), F(2), 6),
         ]
         for levels, s, level in cases:
             with pytest.raises(ZeroDenominatorError) as ref:
@@ -406,3 +447,117 @@ class TestEvalCfReference:
                         conv, dens = reference_forward(levels, mp.mpc(z))
                     assert [c._mpc_ for c in ev.convergents] == [c._mpc_ for c in conv]
                     assert [d._mpc_ for d in ev.denominators] == [d._mpc_ for d in dens]
+
+    @pytest.mark.parametrize("depth", range(len(CRAFTED)))
+    def test_crafted_integer_levels(self, depth):
+        cf = ContinuedFraction("G", 0, CRAFTED)
+        levels = CRAFTED[:depth + 1]
+        rows = cf._integer_levels[:depth + 1]
+        assert all(type(c) is int for row in rows for poly in row for c in poly)
+        # the transformation keeps every convergent
+        int_levels = tuple(CFLevel(Poly(num), Poly(den)) for num, den in rows)
+        for s in (*self.points(7), F(-2, 9), QComplex(F(5, 4), F(1, 9))):
+            want = reference_backward(levels, s)
+            got = eval_cf(cf, s, depth=depth)
+            assert got.value == want and type(got.value) is type(want), (s, depth)
+            assert reference_forward(int_levels, s)[0] == reference_forward(levels, s)[0]
+            assert eval_cf(cf, s, depth=depth, trace=True).convergents == \
+                reference_forward(levels, s)[0]
+        for s in self.points(7)[:4]:
+            z = mp.mpc(mp.mpf(s.re.numerator) / s.re.denominator,
+                       mp.mpf(s.im.numerator) / s.im.denominator)
+            ev = eval_cf(cf, z, depth=depth, precision=128)
+            assert (ev.value.real._mpf_, ev.value.imaginary._mpf_, ev.cross_width) == \
+                reference_mp(levels, z, 128)
+
+
+class TestEvalCache:
+    """The integer levels and the rounded coefficients are kept on the
+    object; no order of calls may change a result."""
+
+    Z = [mp.mpc(mp.mpf(43) / 64, mp.mpf(25) / 64), mp.mpc(2, -1)]
+
+    @staticmethod
+    def fresh(cf):
+        return ContinuedFraction(cf.kind, cf.m, cf.levels)
+
+    @pytest.mark.parametrize("expansion", [g_expansion, f_expansion])
+    def test_precision_order(self, expansion):
+        cf = euler_cf(expansion(12))
+        for z in self.Z:
+            for a, b in ((128, 256), (53, 290), (256, 128)):
+                used = self.fresh(cf)
+                got = [bits(eval_cf(used, z, precision=p)) for p in (a, b, a)]
+                want = [bits(eval_cf(self.fresh(cf), z, precision=p)) for p in (a, b, a)]
+                assert got == want, (cf.kind, z, a, b)
+
+    @pytest.mark.parametrize("expansion", [g_expansion, f_expansion])
+    def test_depth_order(self, expansion):
+        cf = euler_cf(expansion(12))
+        deep, shallow = cf.depth - 1, 2
+        for s in (*self.Z, QComplex(F(5, 32), F(33, 64)), F(1, 3)):
+            for order in ((deep, shallow, deep), (shallow, deep, shallow)):
+                used = self.fresh(cf)
+                got = [bits(eval_cf(used, s, depth=k)) for k in order]
+                want = [bits(eval_cf(self.fresh(cf), s, depth=k)) for k in order]
+                assert got == want, (cf.kind, s, order)
+
+    def test_partial_fraction_precision_order(self):
+        def parts(v):
+            return v.real._mpf_, v.imaginary._mpf_, v.cross_width
+
+        for pf in (build_g(12), build_f(12)):
+            for a, b in ((128, 256), (53, 290)):
+                used = PartialFraction(pf.terms, pf.kind, pf.m)
+                got = [parts(eval_pf_precise(used, self.Z[0], precision=p)) for p in (a, b, a)]
+                want = [parts(eval_pf_precise(PartialFraction(pf.terms, pf.kind, pf.m),
+                                              self.Z[0], precision=p)) for p in (a, b, a)]
+                assert got == want, (pf.kind, a, b)
+
+
+def reference_pf_value(pf, s, prec):
+    """The per-term expression: each residue rounded as mp.mpf(numerator) /
+    denominator, then divided by s - pole in mpc arithmetic."""
+    with mp.workprec(prec):
+        z = mp.mpc(s)
+        acc = mp.mpc(0)
+        for p, r in pf.terms:
+            acc += mp.mpf(r.numerator) / r.denominator / (z - p)
+        return acc
+
+
+class TestEvalPfPreciseReference:
+    """eval_pf_precise's residues, rounded once per precision, against the
+    per-term rounding at every call."""
+
+    @pytest.mark.parametrize("builder", [build_g, build_f])
+    @pytest.mark.parametrize("m", [1, 2, 12, 60])
+    @pytest.mark.parametrize("precision", [53, 128, 256, 290])
+    def test_bit_identical(self, builder, m, precision):
+        pf = builder(m)
+        zs = [mp.mpc(mp.mpf(q.re.numerator) / q.re.denominator,
+                     mp.mpf(q.im.numerator) / q.im.denominator)
+              for q in seeded_strip_points(m, 3)]
+        for z in (*zs, mp.mpc(2, 1), mp.mpc(mp.mpf(7) / 3, 0)):
+            got = eval_pf_precise(pf, z, precision=precision)
+            v = reference_pf_value(pf, z, precision + 10)
+            width = float(abs(v - reference_pf_value(pf, z, 128)))
+            with mp.workprec(precision):
+                want = ((+v.real)._mpf_, (+v.imag)._mpf_)
+            assert (got.real._mpf_, got.imaginary._mpf_) == want, (m, z)
+            assert got.cross_width == width
+            assert got.precision == precision
+
+    @pytest.mark.parametrize("builder, pole, s", [
+        (build_g, 1, 1),
+        (build_g, 1, mp.mpc(1, 0)),
+        (build_g, -2, QComplex(F(-2), F(0))),
+        (build_f, 0, F(0)),
+        (build_f, -1, complex(-1, 0)),
+        (build_f, -1, mp.mpf(-1)),
+    ])
+    def test_exact_pole_is_named(self, builder, pole, s):
+        pf = builder(3)
+        with pytest.raises(ValueError, match=f"is the pole {pole} of {pf.kind}_3$"):
+            eval_pf_precise(pf, s)
+        assert eval_pf(pf, F(pole)) == PoleIndicator(pole)

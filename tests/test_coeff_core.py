@@ -256,6 +256,18 @@ class TestSinhSeries:
         assert s.num == tuple(two_D * e[k] * u ** (n - 1 - k) for k in range(n))
         assert s.den == u**n
 
+    @pytest.mark.parametrize("r2", [F(0), F(1, 4), F(1), F(3, 7), F(100), F(10000),
+                                    F(10**9, 7)])
+    @pytest.mark.parametrize("n", [1, 2, 3, 60])
+    def test_d_reduced_against_powers_of_u(self, r2, n):
+        # d[k], reduced against u^(k+1), is num[k] / den: a Fraction is in
+        # lowest terms, so equal cross products make it F(num[k], den)
+        s = sinh_series(r2, n)
+        assert s.den == s.u**n
+        d = s.d
+        assert len(d) == n and all(type(x) is F for x in d)
+        assert all(x.numerator * s.den == y * x.denominator for x, y in zip(d, s.num))
+
     def test_bad_args(self):
         with pytest.raises(ValueError):
             sinh_series(-1, 5)
