@@ -395,21 +395,19 @@ class SinhSeries:
     H(u) = sum_{n>=1} r^{2n-2} u^{n-1} / (2n)!. The coefficients d[k] of
     2 / H_N(1-z), H_N the n_terms-term truncation of H, are held as one
     integer row over one positive denominator: d[k] = num[k] / den. d[0] is
-    exactly 2 divided by the truncated sum at u = 1. When `u` is given,
-    den = u^N with N = len(num) and u^(N-1-k) divides num[k].
+    exactly 2 divided by the truncated sum at u = 1. The denominator is
+    den = u^N, N = len(num), and u^(N-1-k) divides num[k].
     """
 
     r_squared: Fraction
     num: tuple[int, ...]
     den: int
-    u: int | None = None
+    u: int
 
     @property
     def d(self) -> tuple[Fraction, ...]:
-        """The coefficients as reduced Fractions. With `u`, d[k] is reduced
-        as (num[k] / u^(N-1-k)) / u^(k+1), against u^(k+1) instead of u^N."""
-        if self.u is None:
-            return tuple(Fraction(n, self.den) for n in self.num)
+        """The coefficients as reduced Fractions, d[k] reduced as
+        (num[k] / u^(N-1-k)) / u^(k+1), against u^(k+1) instead of u^N."""
         powers = [1]  # u^0 .. u^N
         for _ in self.num:
             powers.append(powers[-1] * self.u)

@@ -138,14 +138,15 @@ class TestVerify:
         assert doc["pass"] is False and doc["witness"] == witness
 
     @pytest.mark.parametrize("num,witness", [
-        # d = 1/2, 3/4, 3/2: d_1^2 = 9/16 < d_0 d_2 = 3/4
-        ((2, 3, 6), "log-concavity fails at r^2=1/4, k=1: 9/16 < 3/4"),
-        ((2, 0, 6), "d[1] <= 0 at r^2=1/4: 0/1"),
+        # over den = u^3 = 8, u^(2-k) | num[k]: d = 1/2, 3/4, 3/2, so
+        # d_1^2 = 9/16 < d_0 d_2 = 3/4
+        ((4, 6, 12), "log-concavity fails at r^2=1/4, k=1: 9/16 < 3/4"),
+        ((4, 0, 12), "d[1] <= 0 at r^2=1/4: 0/1"),
     ])
     def test_sinh_failure_witness(self, num, witness, tmp_path, monkeypatch):
         # the verdict is decided on the integer row; the witness text is exact
         monkeypatch.setattr(cli, "sinh_series",
-                            lambda r2, n: SinhSeries(Fraction(r2), num, 4))
+                            lambda r2, n: SinhSeries(Fraction(r2), num, 8, 2))
         code, out = run_cli(["verify", "logconcave-sinh", "3"], tmp_path)
         assert code == 1
         doc = json.loads(out.read_text())
@@ -174,13 +175,14 @@ class TestVerify:
             return tops_said[-1]
 
         monkeypatch.setattr(cli, "_tops_prove", tops_prove)
+        # u = 1: consecutive Fibonacci numbers are coprime
         monkeypatch.setattr(cli, "sinh_series",
-                            lambda r2, n: SinhSeries(Fraction(r2), num, 4))
+                            lambda r2, n: SinhSeries(Fraction(r2), num, 1, 1))
         code, out = run_cli(["verify", "logconcave-sinh", "3"], tmp_path)
         doc = json.loads(out.read_text())
         if fails:
             assert tops_said == [False] and code == 1 and doc["pass"] is False
-            sq, ab = Fraction(num[1] ** 2, 16), Fraction(num[0] * num[2], 16)
+            sq, ab = Fraction(num[1] ** 2), Fraction(num[0] * num[2])
             assert doc["witness"] == (f"log-concavity fails at r^2=1/4, k=1: "
                                       f"{frac_str(sq)} < {frac_str(ab)}")
         else:
