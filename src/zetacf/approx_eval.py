@@ -206,9 +206,16 @@ def _to_mpc(s) -> mp.mpc:
 
 def _pf_value_at_prec(pf: PartialFraction, s, prec: int) -> mp.mpc:
     """sum of residue / (s - pole) at `prec` bits: the operations of mpc
-    arithmetic on the rounded residues, on raw values."""
+    arithmetic on the rounded residues, on raw values. Raises ValueError
+    when s is a pole, or rounds onto one at `prec` bits."""
     with mp.workprec(prec):
-        z = _to_mpc(s)._mpc_
+        z = _to_mpc(s)
+    pole = _pole_at(pf, z)
+    if pole is not None:
+        family = f"{pf.kind}_{pf.m}" if pf.kind else "the partial fraction"
+        rounded = "" if _pole_at(pf, s) == pole else f" rounded to {prec} bits"
+        raise ValueError(f"s = {s}{rounded} is the pole {pole} of {family}")
+    z = z._mpc_
     acc = (fzero, fzero)
     for p, r in zip(pf.poles, pf._residues_at(prec)):
         acc = mpc_add(acc, mpc_mpf_div(r, mpc_sub_mpf(z, from_int(p), prec, _RND), prec, _RND),
@@ -231,14 +238,10 @@ def eval_pf_precise(pf: PartialFraction, s, precision: int = 256) -> ComplexValu
 
     The result is re-computed at 128 bits and the disagreement recorded, so
     precision loss is observable rather than assumed. Raises ValueError
-    when s is exactly a pole.
+    when s is a pole, or rounds onto one at either precision.
     """
     if precision < 53:
         raise ValueError("precision must be at least 53 bits")
-    pole = _pole_at(pf, s)
-    if pole is not None:
-        family = f"{pf.kind}_{pf.m}" if pf.kind else "the partial fraction"
-        raise ValueError(f"s = {s} is the pole {pole} of {family}")
     v = _pf_value_at_prec(pf, s, precision + 10)
     width = float(abs(v - _pf_value_at_prec(pf, s, 128)))
     with mp.workprec(precision):
@@ -314,11 +317,10 @@ def _normalized_value(exp: FactorialExpansion, s: Fraction, pf: PartialFraction)
     return exp.family.normalizer(exp.m, s) * g
 
 
-def expansion_identity_holds(exp: FactorialExpansion, pf: PartialFraction,
-                             points=_CHECK_POINTS) -> bool:
+def expansion_identity_holds(exp: FactorialExpansion, pf: PartialFraction) -> bool:
     return all(
         expansion_value(exp, s) == _normalized_value(exp, s, pf)
-        for s in points
+        for s in _CHECK_POINTS
     )
 
 

@@ -15,7 +15,7 @@ import json
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -100,30 +100,25 @@ class RunConfig:
         }
 
 
-def _load_config(path: str = CONFIG_PATH) -> dict:
+def _load_config() -> dict:
     """Run defaults from the config file, if there is one. An unreadable or
     malformed file raises ValueError, which main reports as a usage error."""
-    p = Path(path)
+    p = Path(CONFIG_PATH)
     if not p.is_file():
         return {}
     try:
         data = json.loads(p.read_text())
     except (OSError, ValueError) as exc:
-        raise ValueError(f"cannot read {path}: {exc}") from None
+        raise ValueError(f"cannot read {CONFIG_PATH}: {exc}") from None
     if not isinstance(data, dict):
-        raise ValueError(f"{path} must hold a JSON object")
+        raise ValueError(f"{CONFIG_PATH} must hold a JSON object")
     return {k: data[k] for k in ("precision", "format", "seed", "jobs") if k in data}
 
 
 def _resolve_config(args) -> RunConfig:
-    cfg = _load_config()
-    return RunConfig(
-        precision=args.precision if args.precision is not None else cfg.get("precision", 256),
-        format=args.format if args.format is not None else cfg.get("format", "json"),
-        out=args.out if args.out is not None else "-",
-        seed=args.seed if args.seed is not None else cfg.get("seed", 1),
-        jobs=args.jobs if args.jobs is not None else cfg.get("jobs", 1),
-    )
+    """The explicit flags over the config file over `RunConfig`'s defaults."""
+    flags = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
+    return RunConfig(**(_load_config() | {k: v for k, v in flags.items() if v is not None}))
 
 
 def _write(text: str, out: str) -> None:
@@ -223,8 +218,8 @@ def _verify_oracle3(m_max: int) -> str | None:
         raise ValueError("m_max must be >= 1")
     for seq in c_sequences(m_max):
         other = c_residue_oracle(seq.m)
-        if seq.c != other.c:
-            k = next(k for k in range(len(seq.c)) if seq.c[k] != other.c[k])
+        if seq.num != other.num:  # both rows are over the same D
+            k = next(k for k, (a, b) in enumerate(zip(seq.num, other.num)) if a != b)
             return (f"residue oracle mismatch at m={seq.m}, k={k}: "
                     f"{frac_str(seq.c[k])} vs {frac_str(other.c[k])}")
     return _verify_genfunc(min(m_max, 30))

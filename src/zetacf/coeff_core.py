@@ -16,11 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb, factorial, lcm, log
 from typing import Iterator
 
 from .errors import InternalConsistencyError
-from .series import PowerSeries
+from .series import PowerSeries, _inverse_numerators
 
 __all__ = [
     "CoeffTable",
@@ -271,10 +272,16 @@ def harmonic_sums(m_max: int) -> Iterator[Fraction]:
 
 @dataclass(frozen=True)
 class CSequence:
-    """c_{m,0..K} with K = floor(m/2) + 1; c[0] = 1."""
+    """c_{m,0..K} with K = floor(m/2) + 1, held as one integer row over one
+    positive denominator: c[k] = num[k] / den, and num[0] = den (c[0] = 1)."""
 
     m: int
-    c: tuple[Fraction, ...]
+    num: tuple[int, ...]
+    den: int
+
+    @cached_property
+    def c(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.den) for n in self.num)
 
 
 def _t_row(m: int, S: list[int]) -> tuple[list[int], int]:
@@ -289,19 +296,21 @@ def _t_row(m: int, S: list[int]) -> tuple[list[int], int]:
     return row, factorial(m) * L
 
 
-def _c_from_int_row(m: int, S: list[int]) -> tuple[Fraction, ...]:
-    # sum_j T_j C(j, k-1) is the coefficient of x^(k-1) in
-    # sum_j T_j (x+1)^j: shift the row by 1 in place, J^2/2 additions
-    T, D = _t_row(m, S)
-    J = len(T) - 1
+def _taylor_shift(a: list[int]) -> list[int]:
+    """The coefficients of sum_j a_j (x+1)^j, that is sum_{j>=i} C(j, i) a_j
+    at x^i, computed in place by J^2/2 additions and no binomials."""
+    J = len(a) - 1
     for i in range(J):
         for j in range(J - 1, i - 1, -1):
-            T[j] += T[j + 1]
-    out = [Fraction(1)]
-    for k in range(1, J + 2):
-        s = (m + 1) * T[k - 1]
-        out.append(Fraction(s if k % 2 == 1 else -s, D))
-    return tuple(out)
+            a[j] += a[j + 1]
+    return a
+
+
+def _c_row(m: int, S: list[int]) -> CSequence:
+    # D c_{m,k} = (m+1)(-1)^(k-1) sum_j T_j C(j, k-1): the T-row shifted by 1
+    T, D = _t_row(m, S)
+    return CSequence(m, (D, *((m + 1) * (t if i % 2 == 0 else -t)
+                              for i, t in enumerate(_taylor_shift(T)))), D)
 
 
 def c_direct(m: int) -> CSequence:
@@ -309,7 +318,7 @@ def c_direct(m: int) -> CSequence:
     with c_{m,0} = 1. Binomials with k-1 > j vanish, which terminates the sum."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    return CSequence(m, _c_from_int_row(m, _stirling_row(m)))
+    return _c_row(m, _stirling_row(m))
 
 
 def c_sequences(m_max: int) -> Iterator[CSequence]:
@@ -317,7 +326,7 @@ def c_sequences(m_max: int) -> Iterator[CSequence]:
     bernoulli_table(m_max)  # the sweep's largest table, once; each row reads a prefix
     for m, S in stirling_rows(m_max):
         if m >= 1:
-            yield CSequence(m, _c_from_int_row(m, S))
+            yield _c_row(m, S)
 
 
 def c_residue_oracle(m: int) -> CSequence:
@@ -329,19 +338,20 @@ def c_residue_oracle(m: int) -> CSequence:
     the residue of phi_k at s = 1-2j is (-1)^j C(k-1, j), so matching
     residues gives an upper-triangular system with diagonal (-1)^j for the
     c_{m,k}. The diagonal is a unit, so the solve stays in integers over the
-    residues' common denominator, and must reproduce c_direct entry by entry.
+    residues' common denominator D, which is also c_direct's, and must
+    reproduce c_direct's row entry by entry.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     T, D = _t_row(m, _stirling_row(m))
     J = len(T) - 1
     K = J + 1
-    beta = [0] * (K + 1)  # D c_{m,k}
+    beta = [D] + [0] * K  # D c_{m,k}
     for j in range(J, -1, -1):
         sign = -1 if j % 2 else 1
         acc = sum(beta[k] * (sign * comb(k - 1, j)) for k in range(j + 2, K + 1))
         beta[j + 1] = ((m + 1) * T[j] - acc) * sign  # dividing by the diagonal
-    return CSequence(m, (Fraction(1), *(Fraction(b, D) for b in beta[1:])))
+    return CSequence(m, tuple(beta), D)
 
 
 def c_genfunc_oracle(m_max: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -421,9 +431,10 @@ def sinh_series(r_squared, n_terms: int) -> SinhSeries:
 
     With r^2 = p/q, N = n_terms and D = (2N)! q^(N-1), the terms
     h_i = D r^(2i) / (2i+2)! of D H_N(u) are integers, and so are the
-    z-coefficients g_k = (-1)^k sum_{i>=k} C(i,k) h_i of D H_N(1-z). Their
+    z-coefficients g_k = (-1)^k sum_{i>=k} C(i,k) h_i of D H_N(1-z), the
+    h-row shifted by 1 (`_taylor_shift`) with alternating signs. Their
     inverse is e_k / u^(k+1) with u = g_0 > 0, e_0 = 1 and
-    e_k = -sum_{j=1..k} g_j u^(j-1) e_{k-j}, evaluated by Horner in u, so
+    e_k = -sum_{j=1..k} g_j u^(j-1) e_{k-j} (`_inverse_numerators`), so
     d_k = 2 D e_k / u^(k+1), kept over the shared denominator u^N.
     r_squared = 0 is the degenerate limit and yields the constant series 4.
     """
@@ -436,15 +447,9 @@ def sinh_series(r_squared, n_terms: int) -> SinhSeries:
     p, q = r2.numerator, r2.denominator
     f2N = factorial(2 * N)
     h = [f2N // factorial(2 * i + 2) * p**i * q ** (N - 1 - i) for i in range(N)]
-    g = [sum(comb(i, k) * h[i] for i in range(k, N)) * (-1) ** k for k in range(N)]
+    g = [x if k % 2 == 0 else -x for k, x in enumerate(_taylor_shift(h))]
     u = g[0]
-    e = [1]
-    for k in range(1, N):
-        # Horner in u, so each product has one operand of about u's size
-        acc = 0
-        for j in range(k, 0, -1):
-            acc = acc * u + g[j] * e[k - j]
-        e.append(-acc)
+    e = _inverse_numerators(g, u)
     two_D = 2 * f2N * q ** (N - 1)
     num = [0] * N
     pw = 1  # u^(N-1-k), and u^N after the loop
@@ -541,9 +546,9 @@ def c_positivity_witness(m_max: int) -> Witness | None:
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     for seq in c_sequences(m_max):
-        for k, v in enumerate(seq.c):
+        for k, v in enumerate(seq.num):  # den > 0: the signs of the c[k]
             if v <= 0:
-                return Witness("c-positivity", seq.m, k, v, Fraction(0))
+                return Witness("c-positivity", seq.m, k, Fraction(v, seq.den), Fraction(0))
     return None
 
 

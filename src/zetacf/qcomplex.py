@@ -112,9 +112,6 @@ class QComplex:
         return (self.re.numerator * (d // self.re.denominator),
                 self.im.numerator * (d // self.im.denominator), d)
 
-    def conjugate(self) -> "QComplex":
-        return QComplex(self.re, -self.im)
-
     def abs2(self) -> Fraction:
         """|z|^2, exact."""
         return self.re * self.re + self.im * self.im

@@ -597,8 +597,10 @@ def _atan2_fractions(y: Fraction, x: Fraction) -> float:
     return math.atan2(a, b)
 
 
-def zero_scan(poly: Poly, rectangle, initial_per_edge: int = 16,
-              max_samples: int = 200_000) -> ZeroScanResult:
+_MAX_SAMPLES = 200_000  # the subdivision budget of `zero_scan`
+
+
+def zero_scan(poly: Poly, rectangle, initial_per_edge: int = 16) -> ZeroScanResult:
     """Winding number of `poly` around a rational rectangle.
 
     Boundary points are rational, so every value is an exact QComplex and the
@@ -648,7 +650,7 @@ def zero_scan(poly: Poly, rectangle, initial_per_edge: int = 16,
                 cross = w0.re * w1.im - w0.im * w1.re
                 total += _atan2_fractions(cross, dot)
                 continue
-            if depth > 60 or samples > max_samples:
+            if depth > 60 or samples > _MAX_SAMPLES:
                 raise UncertifiableError(
                     "boundary argument cannot be tracked: contour passes too "
                     "close to a zero at the subdivision budget"
@@ -697,10 +699,22 @@ class MonotonicityFinding:
         return self.first_violation_k is None
 
 
+def _ratio_rise(num: tuple[int, ...], k: int, p: int, q: int) -> tuple | None:
+    """(k, lhs, rhs) when p c_k/c_{k-1} > q c_{k-1}/c_{k-2}, c = num/den, else
+    None: the difference times (n_{k-1} n_{k-2})^2 is the integer
+    (p n_k n_{k-2} - q n_{k-1}^2) n_{k-1} n_{k-2}, in which den cancels."""
+    a, b, c = num[k], num[k - 1], num[k - 2]
+    diff = p * a * c - q * b * b
+    if diff and (diff > 0) == ((b > 0) == (c > 0)):
+        return k, Fraction(p * a, b), Fraction(q * b, c)
+    return None
+
+
 def c_monotonicity_search(m_from: int, m_to: int) -> list[MonotonicityFinding]:
     """Exact check, for each m in [m_from, m_to], of whether c_k/c_{k-1} and
     k c_k/c_{k-1} are non-increasing in k. Two findings per m; a violation
-    records the first offending k with both compared values exact."""
+    records the first offending k with both compared values exact. A zero
+    c_k below the last raises ZeroDivisionError, as its ratio would."""
     if m_from < 2:
         raise ValueError("m_from must be >= 2")
     if m_to < m_from:
@@ -709,24 +723,17 @@ def c_monotonicity_search(m_from: int, m_to: int) -> list[MonotonicityFinding]:
     for seq in c_sequences(m_to):
         if seq.m < m_from:
             continue
-        ratios = [seq.c[k] / seq.c[k - 1] for k in range(1, len(seq.c))]
-        plain = None
-        weighted = None
-        for k in range(2, len(ratios) + 1):
-            if plain is None and ratios[k - 1] > ratios[k - 2]:
-                plain = (k, ratios[k - 1], ratios[k - 2])
-            if weighted is None and k * ratios[k - 1] > (k - 1) * ratios[k - 2]:
-                weighted = (k, k * ratios[k - 1], (k - 1) * ratios[k - 2])
+        num = seq.num
+        if 0 in num[:-1]:
+            raise ZeroDivisionError(f"c_{{{seq.m},{num.index(0)}}} = 0 divides a ratio")
+        plain = weighted = None
+        for k in range(2, len(num)):
+            plain = plain or _ratio_rise(num, k, 1, 1)
+            weighted = weighted or _ratio_rise(num, k, k, k - 1)
             if plain and weighted:
                 break
-        out.append(MonotonicityFinding(seq.m, "c_ratio",
-                                       plain[0] if plain else None,
-                                       plain[1] if plain else None,
-                                       plain[2] if plain else None))
-        out.append(MonotonicityFinding(seq.m, "k_c_ratio",
-                                       weighted[0] if weighted else None,
-                                       weighted[1] if weighted else None,
-                                       weighted[2] if weighted else None))
+        out.append(MonotonicityFinding(seq.m, "c_ratio", *(plain or (None,))))
+        out.append(MonotonicityFinding(seq.m, "k_c_ratio", *(weighted or (None,))))
     return out
 
 
@@ -834,18 +841,10 @@ def positivity_truncation_check(m_max: int) -> PositivityResult:
     adding the positive 2/y^2 term preserves nonnegativity)."""
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
-    cf = _positivity_cf_series(m_max, m_max)
-    rows = []
-    first_neg = None
-    for mdeg in range(m_max + 1):
-        c = cf.coefficient(mdeg)
-        rows.append(c.coeffs)
-        if first_neg is None:
-            for zdeg, v in enumerate(c.coeffs):
-                if v < 0:
-                    first_neg = (mdeg, zdeg)
-                    break
-    return PositivityResult(m_max, first_neg is None, first_neg, tuple(rows))
+    rows = tuple(c.coeffs for c in _positivity_cf_series(m_max, m_max).coeffs)
+    first_neg = next(((mdeg, zdeg) for mdeg, row in enumerate(rows)
+                      for zdeg, v in enumerate(row) if v < 0), None)
+    return PositivityResult(m_max, first_neg is None, first_neg, rows)
 
 
 def positivity_genfunc_matrix(m_max: int) -> tuple[tuple[Fraction, ...], ...]:

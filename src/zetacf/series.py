@@ -22,23 +22,34 @@ def _as_coeff(x):
     return x
 
 
-def _invert_unit(x):
-    """Multiplicative inverse of a series constant term.
-
-    Supports Fraction and degree-0 Poly. Anything else has no unit inverse
-    we can take exactly, so refuse.
-    """
-    if isinstance(x, Fraction):
-        if x == 0:
-            raise ZeroDivisionError("inversion requires a nonzero constant term")
-        return 1 / x
+def _unit_scalar(x) -> Fraction:
+    """The nonzero scalar c of a series constant term: a Fraction, or the
+    constant of a degree-0 Poly. Anything else has no unit inverse we can
+    take exactly, so refuse."""
     if isinstance(x, Poly):
-        if x.degree > 0 or x.coeffs[0] == 0:
-            raise ZeroDivisionError(
-                "series inversion needs an invertible (nonzero constant) leading coefficient"
-            )
-        return Poly([1 / x.coeffs[0]])
-    raise TypeError(f"cannot invert coefficient of type {type(x).__name__}")
+        if x.degree > 0:
+            raise ZeroDivisionError("series inversion needs a constant leading coefficient")
+        x = x.coeffs[0]
+    if not isinstance(x, Fraction):
+        raise TypeError(f"cannot invert coefficient of type {type(x).__name__}")
+    if x == 0:
+        raise ZeroDivisionError("inversion requires a nonzero constant term")
+    return x
+
+
+def _inverse_numerators(a, c) -> list:
+    """The division-free series inverse: for a_0 of nonzero scalar value c,
+    1 / sum a_k x^k = sum e_k x^k / c^(k+1), k < len(a), with e_0 = 1 and
+    e_k = -sum_{j=1..k} a_j c^(j-1) e_{k-j} (Geddes, Czapor & Labahn 1992,
+    ch. 2). Horner in c: no step divides, and each product has one operand
+    of about c's size."""
+    e = [a[0] * 0 + 1]
+    for k in range(1, len(a)):
+        acc = 0
+        for j in range(k, 0, -1):
+            acc = acc * c + a[j] * e[k - j]
+        e.append(-acc)
+    return e
 
 
 def _add_coeffs(a, b) -> list:
@@ -228,10 +239,8 @@ class PowerSeries:
 
     __slots__ = ("order", "coeffs")
 
-    def __init__(self, coeffs, order: int | None = None):
+    def __init__(self, coeffs, order: int):
         cs = [_as_coeff(c) for c in coeffs]
-        if order is None:
-            order = len(cs) - 1
         if order < 0:
             raise ValueError("order must be >= 0")
         if len(cs) < order + 1:
@@ -304,20 +313,11 @@ class PowerSeries:
     __rmul__ = __mul__
 
     def inverse(self) -> "PowerSeries":
-        """Multiplicative inverse; requires an invertible constant term."""
-        inv0 = _invert_unit(self.coeffs[0])
-        n = self.order
-        zero = self._zero_elem()
-        out = [zero] * (n + 1)
-        out[0] = inv0
-        for k in range(1, n + 1):
-            acc = zero
-            for j in range(1, k + 1):
-                a = self.coeffs[j]
-                if a:
-                    acc = acc + a * out[k - j]
-            out[k] = -(acc * inv0)
-        return PowerSeries(out, n)
+        """Multiplicative inverse; requires an invertible constant term c.
+        Coefficient k is e_k / c^(k+1) (`_inverse_numerators`)."""
+        c = _unit_scalar(self.coeffs[0])
+        e = _inverse_numerators(self.coeffs, c)
+        return PowerSeries([x * (1 / c ** (k + 1)) for k, x in enumerate(e)], self.order)
 
     def derivative(self) -> "PowerSeries":
         """Exact through one order lower than self."""

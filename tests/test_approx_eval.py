@@ -561,3 +561,27 @@ class TestEvalPfPreciseReference:
         with pytest.raises(ValueError, match=f"is the pole {pole} of {pf.kind}_3$"):
             eval_pf_precise(pf, s)
         assert eval_pf(pf, F(pole)) == PoleIndicator(pole)
+
+    def test_point_rounding_onto_a_pole_is_named(self):
+        # 1 + 2^-299 is not a pole and is exact at 300 bits, but the 128-bit
+        # cross re-evaluation rounds it to the pole 1
+        with mp.workprec(300):
+            s = mp.mpc(1 + mp.mpf(2) ** -299)
+        pf = build_g(3)
+        with pytest.raises(ValueError, match=r"rounded to 128 bits is the pole 1 of G_3$"):
+            eval_pf_precise(pf, s, precision=290)
+        # at 63 working bits the first evaluation already rounds it
+        with pytest.raises(ValueError, match=r"rounded to 63 bits is the pole 1 of G_3$"):
+            eval_pf_precise(pf, s, precision=53)
+
+    def test_point_near_a_pole_still_evaluates(self):
+        # 1 + 2^-100 survives rounding to 128 bits; the value is about
+        # residue / 2^-100
+        with mp.workprec(300):
+            s = mp.mpc(1 + mp.mpf(2) ** -100)
+        pf = build_g(3)
+        got = eval_pf_precise(pf, s, precision=290)
+        v = reference_pf_value(pf, s, 300)
+        with mp.workprec(290):
+            assert (got.real._mpf_, got.imaginary._mpf_) == ((+v.real)._mpf_, (+v.imag)._mpf_)
+        assert abs(got.real) > 2 ** 99

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 from zetacf import cli, coeff_core
-from zetacf.coeff_core import SinhSeries, Witness
+from zetacf.coeff_core import CSequence, SinhSeries, Witness
 from zetacf.serialize import frac_str
 
 
@@ -121,7 +121,8 @@ class TestVerify:
         ("positivity", "c_positivity_witness",
          lambda m: Witness("c-positivity", 4, 1, Fraction(-1, 2), Fraction(0)),
          "c-positivity fails at m=4, index 1: -1/2 vs 0"),
-        ("oracle3", "c_residue_oracle", lambda m: SimpleNamespace(c=(Fraction(1), Fraction(9))),
+        # c_direct(1) is the row (1, 2) over D = 1; the stub's row is over the same D
+        ("oracle3", "c_residue_oracle", lambda m: CSequence(m, (1, 9), 1),
          "residue oracle mismatch at m=1, k=1: 2/1 vs 9/1"),
         ("genfunc", "c_genfunc_oracle", lambda m: [[Fraction(2)]], "constant term is 2/1, not 1"),
         ("binomial-cf", "binomial_cf_check",
@@ -330,6 +331,15 @@ class TestDeterminism:
         cli.main(["--seed", "8", "--out", str(out), "coeffs", "2", "--kind", "a"])
         run = json.loads(out.read_text())["run"]
         assert run["seed"] == 8 and run["precision"] == 64
+
+    def test_defaults_are_run_config_defaults(self, tmp_path, monkeypatch):
+        # with no config file and no flags, every run value is RunConfig's own
+        monkeypatch.chdir(tmp_path)
+        args = cli.build_parser().parse_args(["coeffs", "2", "--kind", "a"])
+        assert cli._resolve_config(args) == cli.RunConfig()
+        Path("zetacf.json").write_text(json.dumps({"format": "csv", "jobs": 2}))
+        args = cli.build_parser().parse_args(["--jobs", "3", "coeffs", "2", "--kind", "a"])
+        assert cli._resolve_config(args) == cli.RunConfig(format="csv", jobs=3)
 
 
 class TestFlagPlacement:

@@ -4,9 +4,11 @@ from math import comb, factorial
 
 import pytest
 
+from conftest import reference_inverse
 from zetacf import coeff_core
 from zetacf.coeff_core import (
     CoeffTable,
+    CSequence,
     Witness,
     _bernoulli_akiyama_tanigawa,
     _bernoulli_recurrence,
@@ -171,6 +173,27 @@ class TestCSequence:
         for seq in c_sequences(20):
             assert seq.c == singles[seq.m]
 
+    @pytest.mark.parametrize("m", [1, 2, 7, 30])
+    def test_integer_row_over_one_denominator(self, m, bern520):
+        seq = c_direct(m)
+        assert seq.num[0] == seq.den > 0
+        assert all(type(v) is int for v in seq.num)
+        assert seq.c == tuple(F(v, seq.den) for v in seq.num) == tuple(c_bruteforce(m, bern520))
+        assert seq.c is seq.c  # built once
+
+    def test_taylor_shift_is_the_binomial_sum(self):
+        a = [5, -3, 0, 7, 2, -11, 4]
+        want = [sum(comb(j, i) * a[j] for j in range(i, len(a))) for i in range(len(a))]
+        assert coeff_core._taylor_shift(list(a)) == want
+        assert coeff_core._taylor_shift([9]) == [9]
+
+    def test_positivity_witness_reads_the_row(self, monkeypatch):
+        # a zero or negative numerator is the witness, reduced over den
+        rows = [CSequence(1, (4, 6), 4), CSequence(2, (6, 3, -4), 6)]
+        monkeypatch.setattr(coeff_core, "c_sequences", lambda m: iter(rows))
+        w = c_positivity_witness(2)
+        assert (w.m, w.index, w.lhs, w.rhs) == (2, 2, F(-2, 3), 0)
+
 
 class TestResidueOracle:
     @pytest.mark.parametrize("m", [1, 2, 3, 6, 13, 20])
@@ -179,6 +202,11 @@ class TestResidueOracle:
 
     def test_m1(self):
         assert c_residue_oracle(1).c == (F(1), F(2))
+
+    @pytest.mark.parametrize("m", [1, 4, 9, 24])
+    def test_same_row_over_the_same_denominator(self, m):
+        direct, oracle = c_direct(m), c_residue_oracle(m)
+        assert (oracle.num, oracle.den) == (direct.num, direct.den)
 
     def test_length_terminates(self):
         # finitely many poles: exactly floor(m/2)+2 entries including c_0
@@ -229,12 +257,13 @@ class TestSinhSeries:
     @pytest.mark.parametrize("r2", [F(0), F(1, 4), F(1), F(3, 7), F(100)])
     @pytest.mark.parametrize("n", [1, 2, 8, 30])
     def test_matches_fraction_inverse(self, r2, n):
-        # reference: H_N(1-z) by the binomial sum, inverted as a Fraction series
+        # reference: H_N(1-z) by the binomial sum, inverted by the Fraction
+        # recurrence (independent of the shared Taylor shift and inverse)
         h = [r2**i / factorial(2 * i + 2) for i in range(n)]
         Hz = PowerSeries([(-1) ** k * sum(comb(i, k) * h[i] for i in range(k, n))
                           for k in range(n)], n - 1)
         s = sinh_series(r2, n)
-        assert s.d == (Hz.inverse() * 2).coeffs
+        assert s.d == (reference_inverse(Hz) * 2).coeffs
         assert s.den > 0 and len(s.num) == n
 
     @pytest.mark.parametrize("r2", [F(0), F(1, 4), F(1), F(3, 7), F(100), F(10000),

@@ -10,7 +10,14 @@ import pytest
 from zetacf import float_filter as ff
 from zetacf import region_analysis as ra
 from zetacf.approx_eval import build_f, build_g, numerator_poly
-from zetacf.coeff_core import c_genfunc_oracle, coeff_table, harmonic_sums, stirling_rows
+from zetacf.coeff_core import (
+    CSequence,
+    c_genfunc_oracle,
+    c_sequences,
+    coeff_table,
+    harmonic_sums,
+    stirling_rows,
+)
 from zetacf.errors import UncertifiableError
 from zetacf.qcomplex import QComplex
 from zetacf.region_analysis import (
@@ -89,6 +96,23 @@ class TestWorpitzkyMargin:
         r1 = worpitzky_margin(12, mp.mpc(0.5, 0.75))
         r2 = worpitzky_margin(12, QComplex(F(1, 2), F(3, 4)))
         assert r1 == r2
+
+    def test_pole_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^s coincides with the pole at k=3$"):
+            worpitzky_margin(10, QComplex(F(-3), F(0)))
+
+    @pytest.mark.parametrize("sigma, t, adjacent", [
+        (F(-3) + F(1, 2**25), F(0), (3,)),  # |k+s|^2 = 2^-50 < 2^-40
+        (F(-3), F(1, 2**21), (3,)),  # 2^-42
+        (F(-3) + F(1, 2**19), F(0), ()),  # 2^-38
+    ])
+    def test_pole_adjacent_levels(self, sigma, t, adjacent):
+        m = 10
+        r = worpitzky_margin(m, QComplex(sigma, t))
+        assert r.pole_adjacent == adjacent
+        # the verdict, argmin and margin next to the pole are still exact
+        all_pass, k_ref, num, den = _all_k_margin(ra._margin_context(m), sigma, t, 1, m - 2)
+        assert (r.passed, r.argmin_k, r.margin_sq) == (all_pass, k_ref, F(num, den) - 16)
 
 
 def _oracle_sq(a, sigma, t, k):
@@ -526,6 +550,80 @@ class TestZeroScanReference:
         got = zero_scan(poly, rect)
         monkeypatch.setattr(Poly, "__call__", self.generic_call)
         assert got == zero_scan(poly, rect)
+
+
+def reference_monotonicity(seqs, m_from):
+    """The c-ratio search on Fraction ratios c_k / c_{k-1}: the reference for
+    `c_monotonicity_search`, which compares on the integer rows."""
+    out = []
+    for seq in seqs:
+        if seq.m < m_from:
+            continue
+        ratios = [seq.c[k] / seq.c[k - 1] for k in range(1, len(seq.c))]
+        plain = weighted = None
+        for k in range(2, len(ratios) + 1):
+            if plain is None and ratios[k - 1] > ratios[k - 2]:
+                plain = (k, ratios[k - 1], ratios[k - 2])
+            if weighted is None and k * ratios[k - 1] > (k - 1) * ratios[k - 2]:
+                weighted = (k, k * ratios[k - 1], (k - 1) * ratios[k - 2])
+        out.append(ra.MonotonicityFinding(seq.m, "c_ratio", *(plain or (None,))))
+        out.append(ra.MonotonicityFinding(seq.m, "k_c_ratio", *(weighted or (None,))))
+    return out
+
+
+def _fib(n):
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+# c-rows of about 200 bits where one unit decides: Cassini's
+# F_{n-1} F_{n+1} - F_n^2 = (-1)^n for the plain ratio, and
+# 2 n_0 n_2 - n_1^2 = +-1 for the weighted one
+_X = 2**100 + 1
+_CRAFTED = [
+    (_fib(289), _fib(290), _fib(291)),  # plain rises by one unit (and weighted)
+    (_fib(290), _fib(291), _fib(292)),  # plain falls by one unit; weighted rises
+    (1, _X, (_X * _X + 1) // 2),  # weighted rises by one unit, plain falls
+    (1, _X, (_X * _X - 1) // 2),  # weighted falls by one unit
+    (240, 120, 40, 10, 2, 1),  # ratios 1/2, 1/3, 1/4, 1/5, 1/2: plain rises at k = 5
+    (2, -1, 1),  # negative entry: -1 < -1/2, though p n_2 n_0 > q n_1^2
+    (2, -1, -1),  # negative entries: 1 > -1/2, though p n_2 n_0 < q n_1^2
+    (6, 4, 3, -1),  # a sign change late in the row
+    (3, 1, 0),  # a zero last entry is only a numerator
+]
+
+
+class TestMonotonicityReference:
+    def test_sweep_to_200(self):
+        findings = c_monotonicity_search(2, 200)
+        assert findings == reference_monotonicity(c_sequences(200), 2)
+        assert sum(f.lhs is not None for f in findings) > 80  # many violations, with values
+
+    @pytest.mark.parametrize("row", _CRAFTED)
+    def test_crafted_rows(self, row, monkeypatch):
+        # the same values over two denominators: den must cancel
+        seqs = [CSequence(2, row, row[0]), CSequence(3, tuple(3 * v for v in row), 3 * row[0])]
+        monkeypatch.setattr(ra, "c_sequences", lambda m: iter(seqs))
+        assert c_monotonicity_search(2, 3) == reference_monotonicity(seqs, 2)
+
+    def test_one_unit_rises_are_found(self, monkeypatch):
+        seqs = [CSequence(m, row, row[0]) for m, row in enumerate(_CRAFTED[:4], 2)]
+        monkeypatch.setattr(ra, "c_sequences", lambda m: iter(seqs))
+        found = [(f.m, f.kind, f.first_violation_k) for f in c_monotonicity_search(2, 5)]
+        assert found == [(2, "c_ratio", 2), (2, "k_c_ratio", 2), (3, "c_ratio", None),
+                         (3, "k_c_ratio", 2), (4, "c_ratio", None), (4, "k_c_ratio", 2),
+                         (5, "c_ratio", None), (5, "k_c_ratio", None)]
+
+    @pytest.mark.parametrize("row", [(3, 0, 1), (1, 2, 0, 4)])
+    def test_zero_entry_divides(self, row, monkeypatch):
+        seqs = [CSequence(2, row, row[0])]
+        monkeypatch.setattr(ra, "c_sequences", lambda m: iter(seqs))
+        with pytest.raises(ZeroDivisionError):
+            reference_monotonicity(seqs, 2)
+        with pytest.raises(ZeroDivisionError):
+            c_monotonicity_search(2, 2)
 
 
 class TestMonotonicity:

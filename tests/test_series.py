@@ -3,8 +3,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import reference_inverse
 from zetacf.qcomplex import QComplex
-from zetacf.series import Poly, PowerSeries
+from zetacf.region_analysis import binomial_cf_check, positivity_truncation_check
+from zetacf.series import Poly, PowerSeries, _inverse_numerators
 
 
 class TestPoly:
@@ -127,3 +129,53 @@ class TestPowerSeries:
         a = PowerSeries([Poly([2]), Poly([-1, 1])], 4)
         inv = a.inverse()
         assert (a * inv) == PowerSeries([Poly([1])], 4)
+
+
+class TestInverseReference:
+    """The division-free inverse against the Fraction recurrence it replaced."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_fraction_coefficients(self, seed):
+        rng = random.Random(seed)
+        order = rng.randint(0, 14)
+        cs = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(order + 1)]
+        cs[0] = cs[0] or F(-3, 7)
+        a = PowerSeries(cs, order)
+        assert a.inverse() == reference_inverse(a)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_poly_coefficients(self, seed):
+        rng = random.Random(100 + seed)
+        order = rng.randint(1, 9)
+        cs = [Poly([F(rng.choice([-7, -2, 1, 5]), rng.randint(1, 6))])]
+        cs += [Poly([F(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(rng.randint(1, 4))])
+               for _ in range(order)]
+        a = PowerSeries(cs, order)
+        assert a.inverse() == reference_inverse(a)
+
+    def test_integer_numerators(self):
+        # e_k / c^(k+1) on an integer row is the Fraction inverse
+        a = [6, -4, 9, 0, -1, 3, 2]
+        e = _inverse_numerators(a, a[0])
+        assert all(type(x) is int for x in e) and e[0] == 1
+        ref = reference_inverse(PowerSeries(a, len(a) - 1))
+        assert tuple(F(x, 6 ** (k + 1)) for k, x in enumerate(e)) == ref.coeffs
+
+    @pytest.mark.parametrize("c0", [F(0), Poly([0]), Poly([1, 1])])
+    def test_non_unit_constant_term(self, c0):
+        a = PowerSeries([c0, c0 * 0 + 1], 3)
+        with pytest.raises(ZeroDivisionError):
+            reference_inverse(a)
+        with pytest.raises(ZeroDivisionError):
+            a.inverse()
+
+    def test_unknown_coefficient_type(self):
+        with pytest.raises(TypeError):
+            PowerSeries([1.5, 1.0], 2).inverse()
+
+    def test_series_continued_fractions(self, monkeypatch):
+        # the one divide of both series continued fractions, by either route
+        got = binomial_cf_check(12).series, positivity_truncation_check(20).cf_coefficients
+        monkeypatch.setattr(PowerSeries, "inverse", reference_inverse)
+        assert got == (binomial_cf_check(12).series,
+                       positivity_truncation_check(20).cf_coefficients)
