@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb, factorial, lcm, log
+from math import comb, factorial, lcm
 from typing import Iterator
 
 from .errors import InternalConsistencyError
@@ -41,7 +41,6 @@ __all__ = [
     "a_invariant_witness",
     "c_positivity_witness",
     "c1_identity_witness",
-    "growth_band_check",
 ]
 
 
@@ -574,17 +573,3 @@ def c1_identity_witness(m_max: int) -> Witness | None:
             return Witness("c1-identity", m, 1, c1, expected)
     return None
 
-
-def growth_band_check() -> bool:
-    """Sanity band: at m = 1000, a_{m,j} / ((log m)^j / j!) stays within
-    [1/3, 3] for j = 1..3.
-
-    A float check by design; the growth statement has no exact constants.
-    """
-    m = 1000
-    table = coeff_table(m)
-    for j in range(1, 4):
-        ratio = float(table.a[j]) / (log(m) ** j / factorial(j))
-        if not (1 / 3 <= ratio <= 3.0):
-            return False
-    return True

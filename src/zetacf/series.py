@@ -1,8 +1,10 @@
 """Exact dense polynomials and truncated power series over the rationals.
 
-Everything in this module is exact: coefficients are `fractions.Fraction`
-(or, for bivariate work, `Poly` values used as coefficients of an outer
-series). No floating point enters any operation here.
+Everything in this module is exact: `Poly` coefficients are
+`fractions.Fraction`s, and a `PowerSeries` holds integer numerators (integer
+z-rows for bivariate work) over one positive denominator, with its
+coefficients viewed as Fractions or Polys. No floating point enters any
+operation here.
 """
 
 from __future__ import annotations
@@ -19,21 +21,6 @@ def _as_coeff(x):
     """Coerce ints to Fraction; pass Fractions and Polys through."""
     if isinstance(x, int):
         return Fraction(x)
-    return x
-
-
-def _unit_scalar(x) -> Fraction:
-    """The nonzero scalar c of a series constant term: a Fraction, or the
-    constant of a degree-0 Poly. Anything else has no unit inverse we can
-    take exactly, so refuse."""
-    if isinstance(x, Poly):
-        if x.degree > 0:
-            raise ZeroDivisionError("series inversion needs a constant leading coefficient")
-        x = x.coeffs[0]
-    if not isinstance(x, Fraction):
-        raise TypeError(f"cannot invert coefficient of type {type(x).__name__}")
-    if x == 0:
-        raise ZeroDivisionError("inversion requires a nonzero constant term")
     return x
 
 
@@ -228,38 +215,119 @@ class Poly:
         return " ".join(parts) if parts else "0"
 
 
+class _ZRow(tuple):
+    """A z-polynomial with integer coefficients, ascending and without
+    trailing zeros (zero is the empty row): one numerator of a bivariate
+    `PowerSeries`. Only the ring operations the series need."""
+
+    __slots__ = ()
+
+    @classmethod
+    def stripped(cls, xs) -> "_ZRow":
+        xs = list(xs)
+        while xs and not xs[-1]:
+            xs.pop()
+        return cls(xs)
+
+    def __add__(self, other):
+        return _ZRow.stripped(_add_coeffs(self, (other,) if isinstance(other, int) else other))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _ZRow(-x for x in self)
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return _ZRow(x * other for x in self) if other else _ZRow()
+        if not self or not other:
+            return _ZRow()
+        return _ZRow(_mul_coeffs(self, other, len(self) + len(other) - 2, 0))
+
+    __rmul__ = __mul__
+
+    def __floordiv__(self, k: int):
+        return _ZRow(x // k for x in self)
+
+
+def _clear(x) -> tuple:
+    """(numerator, denominator) of a coefficient: an int over a positive int
+    for an int or Fraction, a `_ZRow` over the lcm of the denominators for a
+    Poly."""
+    if isinstance(x, int):
+        return x, 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    if isinstance(x, Poly) and all(isinstance(c, Fraction) for c in x.coeffs):
+        L = lcm(*(c.denominator for c in x.coeffs))
+        return _ZRow.stripped(c.numerator * (L // c.denominator) for c in x.coeffs), L
+    raise TypeError(f"series coefficients are ints, Fractions or Polys of them, not {x!r}")
+
+
+def _value(x, den: int):
+    """The reduced coefficient num/den: a Fraction, or a Poly for a `_ZRow`."""
+    if type(x) is _ZRow:
+        return Poly([Fraction(v, den) for v in x])
+    return Fraction(x, den)
+
+
+def _scaled(num, k: int):
+    return num if k == 1 else [x * k for x in num]
+
+
 class PowerSeries:
     """Truncated power series, exact through the stated order.
 
-    `coeffs[k]` is the coefficient of x^k for k = 0..order. Coefficients are
-    Fractions, or Polys when the series lives over a polynomial coefficient
-    ring (bivariate truncations). Arithmetic never rounds: results are exact
-    through the common truncation order.
+    Coefficient k of x^k, k = 0..order, is num[k] / den: the numerators are
+    integers, or `_ZRow`s of integers when the series lives over a polynomial
+    coefficient ring (bivariate truncations), over one positive den that
+    shares no factor with all of them. Arithmetic runs on the numerators and
+    never rounds. `coeffs` is the reduced view, Fractions or Polys of them,
+    built once.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "num", "den", "_coeffs")
 
     def __init__(self, coeffs, order: int):
-        cs = [_as_coeff(c) for c in coeffs]
         if order < 0:
             raise ValueError("order must be >= 0")
-        if len(cs) < order + 1:
-            zero = cs[0] * 0 if cs else Fraction(0)
-            cs = cs + [zero] * (order + 1 - len(cs))
+        cleared = [_clear(c) for c in list(coeffs)[:order + 1]]
+        den = lcm(*(d for _, d in cleared))
+        num = [n * (den // d) for n, d in cleared]
+        num += [num[0] * 0 if num else 0] * (order + 1 - len(num))
+        self._set(num, den, order)
+
+    def _set(self, num, den: int, order: int) -> None:
         self.order = order
-        self.coeffs = tuple(cs[: order + 1])
+        self.num = tuple(num)
+        self.den = den
+        self._coeffs = None
+
+    @classmethod
+    def _of(cls, num, den: int, order: int) -> "PowerSeries":
+        """The series sum num[k]/den x^k, den > 0, with the content that den
+        shares with every numerator divided out."""
+        g = den
+        for x in num:
+            if g == 1:
+                break
+            g = gcd(g, *x) if type(x) is _ZRow else gcd(g, x)
+        if g != 1:
+            num, den = [x // g for x in num], den // g
+        out = cls.__new__(cls)
+        out._set(num, den, order)
+        return out
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def constant(cls, c, order: int) -> "PowerSeries":
-        z = _as_coeff(c) * 0
-        return cls([_as_coeff(c)] + [z] * order, order)
+        return cls([c], order)
 
     @classmethod
     def geometric(cls, order: int) -> "PowerSeries":
         """1/(1-x) = sum x^n."""
-        return cls([Fraction(1)] * (order + 1), order)
+        return cls([1] * (order + 1), order)
 
     @classmethod
     def neg_log1m(cls, order: int) -> "PowerSeries":
@@ -267,6 +335,13 @@ class PowerSeries:
         return cls([0] + [Fraction(1, n) for n in range(1, order + 1)], order)
 
     # -- helpers -------------------------------------------------------------
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients num[k]/den reduced, as Fractions or Polys."""
+        if self._coeffs is None:
+            self._coeffs = tuple(_value(x, self.den) for x in self.num)
+        return self._coeffs
 
     def _zero_elem(self):
         return self.coeffs[0] * 0
@@ -277,9 +352,7 @@ class PowerSeries:
     def __eq__(self, other):
         if not isinstance(other, PowerSeries):
             return NotImplemented
-        return self.order == other.order and all(
-            a == b for a, b in zip(self.coeffs, other.coeffs)
-        )
+        return self.order == other.order and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(("PowerSeries", self.order, self.coeffs))
@@ -287,15 +360,17 @@ class PowerSeries:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, PowerSeries):
-            n = min(self.order, other.order)
-            return PowerSeries(_add_coeffs(self.coeffs[:n + 1], other.coeffs[:n + 1]), n)
-        return PowerSeries(_add_coeffs(self.coeffs, (_as_coeff(other),)), self.order)
+        if not isinstance(other, PowerSeries):
+            other = PowerSeries.constant(other, self.order)
+        n = min(self.order, other.order)
+        den = lcm(self.den, other.den)
+        return PowerSeries._of(_add_coeffs(_scaled(self.num[:n + 1], den // self.den),
+                                           _scaled(other.num[:n + 1], den // other.den)), den, n)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PowerSeries([-c for c in self.coeffs], self.order)
+        return PowerSeries._of([-x for x in self.num], self.den, self.order)
 
     def __sub__(self, other):
         return self + (-other)
@@ -305,39 +380,53 @@ class PowerSeries:
 
     def __mul__(self, other):
         if not isinstance(other, PowerSeries):
-            c = _as_coeff(other)
-            return PowerSeries([x * c for x in self.coeffs], self.order)
+            c, d = _clear(other)
+            return PowerSeries._of([x * c for x in self.num], self.den * d, self.order)
         n = min(self.order, other.order)
-        return PowerSeries(_mul_coeffs(self.coeffs, other.coeffs, n, self._zero_elem()), n)
+        return PowerSeries._of(_mul_coeffs(self.num, other.num, n, self.num[0] * 0),
+                               self.den * other.den, n)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "PowerSeries":
-        """Multiplicative inverse; requires an invertible constant term c.
-        Coefficient k is e_k / c^(k+1) (`_inverse_numerators`)."""
-        c = _unit_scalar(self.coeffs[0])
-        e = _inverse_numerators(self.coeffs, c)
-        return PowerSeries([x * (1 / c ** (k + 1)) for k, x in enumerate(e)], self.order)
+        """Multiplicative inverse; requires a constant term of nonzero
+        scalar value num[0] = c. With e_k from `_inverse_numerators` on the
+        numerators, coefficient k is den e_k / c^(k+1), held as
+        den e_k c^(order-k) over c^(order+1) with the sign of c^(order+1)
+        moved to the numerators, so that den stays positive."""
+        c = self.num[0]
+        if type(c) is _ZRow:
+            if len(c) > 1:
+                raise ZeroDivisionError("series inversion needs a constant leading coefficient")
+            c = c[0] if c else 0
+        if c == 0:
+            raise ZeroDivisionError("inversion requires a nonzero constant term")
+        e = _inverse_numerators(self.num, c)
+        den = c ** (self.order + 1)
+        scale = self.den if den > 0 else -self.den
+        pows = [scale]  # scale c^j, j = 0..order
+        for _ in range(self.order):
+            pows.append(pows[-1] * c)
+        return PowerSeries._of([x * pows[self.order - k] for k, x in enumerate(e)],
+                               abs(den), self.order)
 
     def derivative(self) -> "PowerSeries":
         """Exact through one order lower than self."""
         if self.order == 0:
-            return PowerSeries([self._zero_elem()], 0)
-        return PowerSeries(
-            [k * self.coeffs[k] for k in range(1, self.order + 1)], self.order - 1
-        )
+            return PowerSeries._of([self.num[0] * 0], 1, 0)
+        return PowerSeries._of([k * self.num[k] for k in range(1, self.order + 1)],
+                               self.den, self.order - 1)
 
     def shift(self, k: int) -> "PowerSeries":
         """Multiply by x^k. Negative k divides by x^k and requires the low
         coefficients to vanish."""
         if k >= 0:
-            zero = self._zero_elem()
-            return PowerSeries([zero] * k + list(self.coeffs), self.order + k)
+            return PowerSeries._of([self.num[0] * 0] * k + list(self.num), self.den, self.order + k)
         drop = -k
         for j in range(min(drop, self.order + 1)):
-            if self.coeffs[j]:
+            if self.num[j]:
                 raise ValueError(f"cannot divide by x^{drop}: coefficient {j} is nonzero")
-        return PowerSeries(list(self.coeffs[drop:]), self.order - drop)
+        return PowerSeries._of(self.num[drop:], self.den, self.order - drop)
 
     def __repr__(self):
         head = ", ".join(repr(c) for c in self.coeffs[: min(6, len(self.coeffs))])

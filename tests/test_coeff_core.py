@@ -21,7 +21,6 @@ from zetacf.coeff_core import (
     c_residue_oracle,
     c_sequences,
     coeff_table,
-    growth_band_check,
     harmonic,
     harmonic_sums,
     sinh_series,
@@ -313,9 +312,6 @@ class TestInvariantSweeps:
 
     def test_c1_identity_to_100(self):
         assert c1_identity_witness(100) is None
-
-    def test_growth_band_at_1000(self):
-        assert growth_band_check()
 
 
 def _row_witness_reference(m, S, fm, h, deep_roots):

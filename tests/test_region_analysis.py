@@ -703,6 +703,30 @@ def _series_cf_by_levels(levels, order: int) -> PowerSeries:
     return acc
 
 
+class TestSeriesCfErrors:
+    """The one division of `_series_cf` inverts B_n, whose constant term is
+    the product of the levels' den_k(0): crafted levels where it is no unit."""
+
+    def test_vanishing_den0(self):
+        levels = [([Poly([2]), Poly([1])], Poly([1]), 1),
+                  ([Poly([0]), Poly([-1])], Poly([3, 1]), 2)]
+        with pytest.raises(ZeroDivisionError, match="^inversion requires a nonzero constant term$"):
+            ra._series_cf(levels, 6)
+
+    def test_den0_depending_on_z(self):
+        levels = [([Poly([2]), Poly([1])], Poly([1]), 1),
+                  ([Poly([3, 1]), Poly([-1])], Poly([3, 1]), 2)]
+        with pytest.raises(ZeroDivisionError,
+                           match="^series inversion needs a constant leading coefficient$"):
+            ra._series_cf(levels, 6)
+
+    def test_unit_den0(self):
+        # the same levels with den_2(0) = 3: the expansion exists
+        levels = [([Poly([2]), Poly([1])], Poly([1]), 1),
+                  ([Poly([3]), Poly([-1])], Poly([3, 1]), 2)]
+        assert ra._series_cf(levels, 6) == _series_cf_by_levels(levels, 6)
+
+
 class TestSeriesCfReference:
     """`_series_cf` (convergent recurrence, one division) against the
     per-level route. The reference runs once at the deepest order: level k

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
@@ -129,6 +130,104 @@ class TestPowerSeries:
         a = PowerSeries([Poly([2]), Poly([-1, 1])], 4)
         inv = a.inverse()
         assert (a * inv) == PowerSeries([Poly([1])], 4)
+
+
+def _den_lcm(series):
+    """The lcm of the reduced denominators of every coefficient: the one
+    denominator an integer-row series must hold."""
+    return lcm(*(d for c in series.coeffs
+                 for d in ([x.denominator for x in c.coeffs] if isinstance(c, Poly)
+                           else [c.denominator])))
+
+
+class TestIntegerRows:
+    """`PowerSeries` as integer numerators over one positive denominator,
+    against coefficient-wise Fraction and Poly arithmetic."""
+
+    A = [F(1, 2), F(-1, 3), F(5, 4), 0, F(7, 6)]
+    B = [F(2, 5), 3, F(-3, 10), F(1, 7)]
+
+    def test_sum_across_dens(self):
+        a, b = PowerSeries(self.A, 4), PowerSeries(self.B, 3)
+        assert (a.den, b.den) == (12, 70)
+        got = a + b
+        assert got.order == 3
+        assert got.coeffs == tuple(F(x) + F(y) for x, y in zip(self.A, self.B))
+        assert got.den == _den_lcm(got) and got - b == PowerSeries(self.A, 3)
+
+    def test_product_across_dens(self):
+        a, b = PowerSeries(self.A, 4), PowerSeries(self.B, 3)
+        want = [sum((F(self.A[i]) * F(self.B[k - i]) for i in range(k + 1)), F(0))
+                for k in range(4)]
+        got = a * b
+        assert got.coeffs == tuple(want) and got.den == _den_lcm(got)
+
+    def test_scalars_fold_into_numerators_and_den(self):
+        a = PowerSeries(self.A, 4)
+        assert (a * F(6, 7)).coeffs == tuple(F(x) * F(6, 7) for x in self.A)
+        assert (a + F(1, 6)).coeffs == (F(2, 3),) + a.coeffs[1:]
+        assert (F(1, 6) - a).coeffs == (F(-1, 3),) + tuple(-x for x in a.coeffs[1:])
+
+    def test_bivariate_sum_and_product_across_dens(self):
+        p = [Poly([F(1, 2), F(1, 3)]), Poly([F(-2, 5)]), Poly([0, 0, F(3, 4)])]
+        q = [Poly([F(1, 6)]), Poly([1, F(1, 9)]), Poly([F(5, 8), F(-1, 3)])]
+        a, b = PowerSeries(p, 2), PowerSeries(q, 2)
+        assert (a.den, b.den) == (60, 72)
+        assert (a + b).coeffs == tuple(x + y for x, y in zip(p, q))
+        want = tuple(sum((p[i] * q[k - i] for i in range(k + 1)), Poly()) for k in range(3))
+        assert (a * b).coeffs == want
+        assert (a * Poly([F(1, 3), 1])).coeffs == tuple(x * Poly([F(1, 3), 1]) for x in p)
+
+    @pytest.mark.parametrize("order", [3, 4])
+    def test_inverse_of_negative_constant_term(self, order):
+        # c0 = -3: c0^(order+1) is negative for order 4, positive for 3
+        a = PowerSeries([F(-3, 2), F(1, 5), 2, F(-7, 3), F(1, 4)], order)
+        inv = a.inverse()
+        assert inv.den > 0 and inv.den == _den_lcm(inv)
+        assert inv == reference_inverse(a)
+        assert a * inv == PowerSeries.constant(1, order)
+
+    def test_bivariate_inverse_of_negative_constant_term(self):
+        a = PowerSeries([Poly([F(-2, 3)]), Poly([1, F(1, 2)]), Poly([0, F(-1, 5)])], 4)
+        inv = a.inverse()
+        assert inv.den > 0 and inv == reference_inverse(a)
+
+    def test_derivative_and_shift_keep_den(self):
+        a = PowerSeries([F(1, 3), F(1, 2), F(1, 4), F(5, 6)], 3)
+        d = a.derivative()
+        assert d.coeffs == (F(1, 2), F(1, 2), F(5, 2)) and d.den == 2
+        up = a.shift(2)
+        assert up.coeffs == (0, 0) + a.coeffs and up.den == a.den == 12
+        assert up.shift(-2) == a
+        assert PowerSeries([Poly([F(1, 2), 1]), Poly([0, F(1, 3)])], 1).derivative().coeffs == \
+            (Poly([0, F(1, 3)]),)
+
+    def test_equal_values_built_two_ways(self):
+        a = PowerSeries(self.A, 4)
+        pairs = [
+            (PowerSeries([1, -1], 6).inverse(), PowerSeries.geometric(6)),
+            (a * 2 * F(1, 2), a),
+            ((a + PowerSeries(self.B, 4)) - PowerSeries(self.B, 4), a),
+            (PowerSeries([F(3, 6), F(-2, 6), F(15, 12), F(0, 5), F(14, 12)], 4), a),
+        ]
+        for x, y in pairs:
+            assert x == y and hash(x) == hash(y)
+            assert (x.num, x.den) == (y.num, y.den)
+
+    def test_coeffs_element_types(self):
+        a = PowerSeries([2, F(1, 2)], 3)
+        assert all(type(c) is F for c in a.coeffs)
+        assert a.coeffs == (F(2), F(1, 2), F(0), F(0)) and a.coefficient(7) == 0
+        b = PowerSeries([Poly([F(1, 2), 0, 0]), Poly(), Poly([3])], 3)
+        assert all(type(c) is Poly and all(type(x) is F for x in c.coeffs) for c in b.coeffs)
+        assert [c.coeffs for c in b.coeffs] == [(F(1, 2),), (F(0),), (F(3),), (F(0),)]
+        assert type(b.coefficient(9)) is Poly and b.coefficient(9) == 0
+
+    def test_rejects_inexact_coefficients(self):
+        with pytest.raises(TypeError):
+            PowerSeries([1.5, 1.0], 2)
+        with pytest.raises(TypeError):
+            PowerSeries([Poly([1.5])], 2)
 
 
 class TestInverseReference:
