@@ -1,12 +1,17 @@
 """zetacf: exact rational approximants to zeta, their continued fractions,
 and a verification harness for the structural facts behind them.
 
-The package is organized in four layers:
+The package is organized in four layers over three shared modules:
 
+* `series`       exact polynomials and truncated power series, each an
+                 integer row over one positive denominator.
+* `qcomplex`     exact complex numbers with rational parts.
+* `serialize`    deterministic JSON and CSV output that keeps rationals
+                 exact.
 * `coeff_core`   exact coefficient sequences (product-polynomial tables,
                  Bernoulli and harmonic numbers, the factorial-series
                  coefficients and their independent oracles, the sinh-kernel
-                 family) plus the truncated-power-series engine.
+                 family).
 * `approx_eval`  the approximants as partial fractions, their factorial
                  expansions, the Euler continued fractions, and evaluation
                  (exact at rational points, precision-tracked otherwise).

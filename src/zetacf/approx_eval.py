@@ -44,7 +44,7 @@ from mpmath.libmp import (
 from .coeff_core import bernoulli_table, c_direct, coeff_table
 from .errors import InternalConsistencyError, ZeroDenominatorError
 from .qcomplex import QComplex
-from .series import Poly, _gaussian_horner
+from .series import Poly, _gaussian_horner, _poly
 
 __all__ = [
     "PartialFraction",
@@ -384,29 +384,31 @@ class ContinuedFraction:
         equivalence transformation a_j -> c_{j-1} c_j a_j, b_j -> c_j b_j
         (Lorentzen & Waadeland, Continued Fractions with Applications, 1992,
         ch. 1) with c_0 = 1 and
-        c_j = lcm(den b_j, den a_j / gcd(den a_j, c_{j-1})), den the lcm of a
-        level's coefficient denominators. It keeps the value and every
+        c_j = lcm(den b_j, den a_j / gcd(den a_j, c_{j-1})), den a level
+        polynomial's `Poly.den` (the lcm of its coefficients' reduced
+        denominators, since it is content-free). It keeps the value and every
         convergent, and multiplies the j-th tail denominator by c_j > 0, so
         a denominator vanishes at the same level."""
         rows = []
         c_prev = 1
         for lv in self.levels:
-            a_den = lcm(*(c.denominator for c in lv.num.coeffs))
-            c = lcm(*(c.denominator for c in lv.den.coeffs), a_den // gcd(a_den, c_prev))
-            a_scale = c_prev * c
-            rows.append((tuple(x.numerator * (a_scale // x.denominator) for x in lv.num.coeffs),
-                         tuple(x.numerator * (c // x.denominator) for x in lv.den.coeffs)))
+            a, b = lv.num, lv.den
+            c = lcm(b.den, a.den // gcd(a.den, c_prev))
+            a_scale = c_prev * c // a.den
+            rows.append((tuple(x * a_scale for x in a.num), tuple(x * (c // b.den) for x in b.num)))
             c_prev = c
         return tuple(rows)
 
     def _rounded_levels(self, prec: int) -> tuple:
         """Per level (num, den), the coefficients as raw mpf values rounded
         by `from_rational` at `prec` bits, the rounding mpmath applies to a
-        Fraction operand (after re-reducing it); once per precision."""
+        Fraction operand: it rounds the exact quotient, so num[k] over the
+        Poly's den gives the bits of the reduced coefficient; once per
+        precision."""
         rounded = self._rounded.get(prec)
         if rounded is None:
             rounded = self._rounded[prec] = tuple(
-                tuple(tuple(from_rational(c.numerator, c.denominator, prec) for c in poly.coeffs)
+                tuple(tuple(from_rational(x, poly.den, prec) for x in poly.num)
                       for poly in (lv.num, lv.den))
                 for lv in self.levels)
         return rounded
@@ -632,7 +634,7 @@ def collapsed(pf: PartialFraction) -> tuple[Fraction, Poly, tuple[int, ...]]:
         return Fraction(0), Poly(), pf.poles
     if next(c for c in reversed(numer) if c) < 0:
         g = -g
-    return Fraction(g, L), Poly([c // g for c in numer]), pf.poles
+    return Fraction(g, L), _poly([c // g for c in numer], 1), pf.poles
 
 
 def _times_linear(c: list[int], p: int) -> list[int]:

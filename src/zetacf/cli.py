@@ -150,11 +150,13 @@ def _usage_errors(parser):
 
 
 def _parse_complex_token(tok: str):
-    """Parse '2', '1/2+14.13i', '3/4-2i' into (sigma, t) Fractions."""
+    """Parse '2', '1/2+14.13i', '3/4-2i', '1/2-1e-3i' into (sigma, t)
+    Fractions. The parts split at the last sign that is not an exponent's."""
     tok = tok.strip().replace(" ", "")
     if tok.endswith("i"):
         body = tok[:-1]
-        split = max(body.rfind("+", 1), body.rfind("-", 1))
+        split = next((k for k in range(len(body) - 1, 0, -1)
+                      if body[k] in "+-" and body[k - 1] not in "eE"), 0)
         if split <= 0:
             return Fraction(0), _rational(body if body not in ("", "+", "-") else body + "1")
         re_part = body[:split]

@@ -363,13 +363,17 @@ def c_genfunc_oracle(m_max: int) -> tuple[tuple[Fraction, ...], ...]:
 
     The claim this oracle tests is M[m][k-1] == c_{m,k} / (m+1) for m >= 1,
     with M[0][0] == 1.
+
+    Term i contributes scale_i y-series_i (1-z)^i; the matrix is summed as
+    integers over L, the lcm of the terms' denominators, and each entry is
+    reduced to a Fraction once.
     """
     k_max = m_max // 2 + 1
     order = m_max + 5
     bern = bernoulli_table(2 * (m_max // 2))
     inv1my = PowerSeries.geometric(order)
     neglog = PowerSeries.neg_log1m(order)
-    rows = [[Fraction(0)] * k_max for _ in range(m_max + 1)]
+    terms = []  # (i, numerator, denominator, y-numerators) of scale_i y-series_i
     pw = PowerSeries.constant(1, order)  # (-log(1-y))^{2i}
     for i in range(m_max // 2 + 1):
         j = 2 * i
@@ -377,18 +381,19 @@ def c_genfunc_oracle(m_max: int) -> tuple[tuple[Fraction, ...], ...]:
             pw = pw * neglog * neglog
         yser = inv1my * pw
         scale = Fraction(1 - j, factorial(j)) * bern[j]
-        if scale == 0:
-            continue
+        if scale:
+            terms.append((i, scale.numerator, scale.denominator * yser.den, yser.num))
+    L = lcm(*(d for _, _, d, _ in terms))
+    rows = [[0] * k_max for _ in range(m_max + 1)]
+    for i, a, d, ynum in terms:
+        a *= L // d
         # (1-z)^i contributes C(i,t)(-1)^t to z^t
-        zcol = [Fraction((-1) ** t * comb(i, t)) for t in range(min(i, k_max - 1) + 1)]
-        for mm in range(m_max + 1):
-            ym = yser.coefficient(mm)
-            if not ym:
-                continue
-            base = scale * ym
-            for t, zc in enumerate(zcol):
-                rows[mm][t] += base * zc
-    return tuple(tuple(r) for r in rows)
+        zcol = [(-1) ** t * comb(i, t) * a for t in range(min(i, k_max - 1) + 1)]
+        for row, ym in zip(rows, ynum):
+            if ym:
+                for t, zc in enumerate(zcol):
+                    row[t] += ym * zc
+    return tuple(tuple(Fraction(x, L) for x in r) for r in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -610,11 +610,14 @@ def zero_scan(poly: Poly, rectangle, initial_per_edge: int = 16) -> ZeroScanResu
     vanishes.
 
     Raises UncertifiableError when the boundary passes too close to a zero
-    for the subdivision budget, or exactly through one.
+    for the subdivision budget, or exactly through one, and ValueError for an
+    empty rectangle or initial_per_edge < 1 (no closed path to walk).
     """
     s_lo, s_hi, t_lo, t_hi = (Fraction(v) for v in rectangle)
     if not (s_lo < s_hi and t_lo < t_hi):
         raise ValueError("rectangle must have positive width and height")
+    if initial_per_edge < 1:
+        raise ValueError("initial_per_edge must be >= 1")
     corners = [
         QComplex(s_lo, t_lo), QComplex(s_hi, t_lo),
         QComplex(s_hi, t_hi), QComplex(s_lo, t_hi), QComplex(s_lo, t_lo),

@@ -1,10 +1,11 @@
 """Exact dense polynomials and truncated power series over the rationals.
 
-Everything in this module is exact: `Poly` coefficients are
-`fractions.Fraction`s, and a `PowerSeries` holds integer numerators (integer
-z-rows for bivariate work) over one positive denominator, with its
-coefficients viewed as Fractions or Polys. No floating point enters any
-operation here.
+Everything in this module is exact and held as integers over one positive
+denominator: a `Poly` is an integer row over its den, and a `PowerSeries`
+holds integer numerators (integer `Poly`s, of den 1, for bivariate work)
+over one den. Both keep the den free of the numerators' common content and
+view their coefficients as reduced Fractions (or Polys of them). No
+floating point enters any operation here.
 """
 
 from __future__ import annotations
@@ -15,13 +16,6 @@ from math import gcd, lcm
 from .qcomplex import QComplex
 
 __all__ = ["Poly", "PowerSeries"]
-
-
-def _as_coeff(x):
-    """Coerce ints to Fraction; pass Fractions and Polys through."""
-    if isinstance(x, int):
-        return Fraction(x)
-    return x
 
 
 def _inverse_numerators(a, c) -> list:
@@ -57,6 +51,10 @@ def _mul_coeffs(a, b, n: int, zero) -> list:
     return out
 
 
+def _scaled(num, k: int):
+    return num if k == 1 else [x * k for x in num]
+
+
 def _gaussian_horner(row, x: int, y: int, d: int) -> tuple[int, int, int]:
     """The polynomial with integer coefficients `row` (ascending) at
     (x + iy)/d, d > 0, as integers (re, im, d^n) with value (re + i im)/d^n,
@@ -70,18 +68,46 @@ def _gaussian_horner(row, x: int, y: int, d: int) -> tuple[int, int, int]:
     return re, im, scale // d
 
 
+def _poly(num, den: int) -> "Poly":
+    """The Poly sum num[k]/den s^k, num a nonempty integer row and den > 0,
+    in canonical form: trailing zeros stripped and the content that den
+    shares with every numerator divided out (zero is (0,) over 1)."""
+    if not num[-1] and len(num) > 1:
+        num = list(num)
+        while len(num) > 1 and not num[-1]:
+            num.pop()
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num, den = [x // g for x in num], den // g
+    out = object.__new__(Poly)
+    out.num = tuple(num)
+    out.den = den
+    out._coeffs = None
+    return out
+
+
 class Poly:
-    """Dense univariate polynomial with Fraction coefficients, ascending order."""
+    """Dense univariate polynomial over the rationals, ascending order.
 
-    __slots__ = ("coeffs",)
+    Coefficient k of s^k is num[k] / den: integers over one positive den
+    that shares no factor with every numerator, trailing zeros stripped, so
+    equal polynomials hold equal (num, den) (the primitive-part/content
+    normal form of Geddes, Czapor & Labahn 1992, ch. 2). Arithmetic and
+    evaluation run on the integers; `coeffs` is the reduced Fraction view,
+    built once.
+    """
 
-    def __init__(self, coeffs=(0,)):
-        cs = [_as_coeff(c) for c in coeffs]
-        while len(cs) > 1 and cs[-1] == 0:
-            cs.pop()
-        if not cs:
-            cs = [Fraction(0)]
-        self.coeffs = tuple(cs)
+    __slots__ = ("num", "den", "_coeffs")
+
+    def __new__(cls, coeffs=(0,)):
+        cleared = []
+        for c in coeffs:
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"polynomial coefficients are ints or Fractions, not {c!r}")
+            cleared.append((c.numerator, c.denominator))
+        den = lcm(*(d for _, d in cleared))
+        return _poly([n * (den // d) for n, d in cleared] or [0], den)
 
     # -- constructors -------------------------------------------------------
 
@@ -97,41 +123,53 @@ class Poly:
     # -- basic properties ---------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients num[k]/den as reduced Fractions."""
+        if self._coeffs is None:
+            self._coeffs = tuple(Fraction(x, self.den) for x in self.num)
+        return self._coeffs
+
+    @property
     def degree(self) -> int:
         """Degree; the zero polynomial reports -1."""
-        if len(self.coeffs) == 1 and self.coeffs[0] == 0:
-            return -1
-        return len(self.coeffs) - 1
+        return len(self.num) - 1 if self.num[-1] else -1
 
     def is_zero(self) -> bool:
-        return self.degree == -1
+        return not self.num[-1]
 
     def __eq__(self, other):
         if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
+            return self.num == other.num and self.den == other.den
         if isinstance(other, (int, Fraction)):
-            return self.degree <= 0 and self.coeffs[0] == other
+            return len(self.num) == 1 and (self.num[0], self.den) == (other.numerator,
+                                                                      other.denominator)
         return NotImplemented
 
     def __hash__(self):
-        return hash(("Poly", self.coeffs))
+        return hash(("Poly", self.num, self.den))
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.num[-1])
 
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Poly(_add_coeffs(self.coeffs, (other,)))
-        if not isinstance(other, Poly):
+        if type(other) is Poly:
+            b, b_den = other.num, other.den
+        elif isinstance(other, (int, Fraction)):
+            b, b_den = (other.numerator,), other.denominator
+        else:
             return NotImplemented
-        return Poly(_add_coeffs(self.coeffs, other.coeffs))
+        if self.den == b_den:
+            return _poly(_add_coeffs(self.num, b), b_den)
+        den = lcm(self.den, b_den)
+        return _poly(_add_coeffs(_scaled(self.num, den // self.den), _scaled(b, den // b_den)),
+                     den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs])
+        return _poly([-x for x in self.num], self.den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -140,12 +178,13 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
+        if type(other) is Poly:
+            a, b = self.num, other.num
+            return _poly(_mul_coeffs(a, b, len(a) + len(b) - 2, 0), self.den * other.den)
         if isinstance(other, (int, Fraction)):
-            return Poly([c * other for c in self.coeffs])
-        if not isinstance(other, Poly):
-            return NotImplemented
-        n = len(self.coeffs) + len(other.coeffs) - 2
-        return Poly(_mul_coeffs(self.coeffs, other.coeffs, n, Fraction(0)))
+            c = other.numerator
+            return _poly([x * c for x in self.num], self.den * other.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -154,49 +193,43 @@ class Poly:
     def __call__(self, x):
         """Horner evaluation; works for any ring value (Fraction, complex, ...).
 
-        At a QComplex the value is computed in integers by `gaussian_horner`,
-        and each part is reduced once at the end."""
+        At a QComplex, an int or a Fraction the value is computed in
+        integers by `gaussian_horner` and reduced once at the end; other
+        values run Horner on the numerators and divide by den once."""
         if isinstance(x, QComplex):
             re, im, den = self.gaussian_horner(*x.gaussian())
             return QComplex(Fraction(re, den), Fraction(im, den))
+        if isinstance(x, (int, Fraction)):
+            re, _, den = self.gaussian_horner(x.numerator, 0, x.denominator)
+            return Fraction(re, den)
         acc = x * 0
-        for c in reversed(self.coeffs):
+        for c in reversed(self.num):
             acc = acc * x + c
-        return acc
+        return acc / self.den
 
     def gaussian_horner(self, x: int, y: int, d: int) -> tuple[int, int, int]:
         """The value at (x + iy)/d, d > 0, as integers (re, im, den) with
-        value (re + i im)/den, unreduced.
-
-        The coefficients are cleared to integers N_k over L = lcm of their
-        denominators, and `_gaussian_horner` runs on them, so den = L d^n."""
-        L = lcm(*(c.denominator for c in self.coeffs))
-        re, im, den = _gaussian_horner([c.numerator * (L // c.denominator) for c in self.coeffs],
-                                       x, y, d)
-        return re, im, L * den
+        value (re + i im)/den, unreduced: `_gaussian_horner` on the
+        numerators, so den = self.den d^n."""
+        re, im, scale = _gaussian_horner(self.num, x, y, d)
+        return re, im, self.den * scale
 
     # -- normalization ------------------------------------------------------
 
     def content(self) -> Fraction:
-        """Positive rational content: gcd of numerators over lcm of denominators."""
-        if self.is_zero():
-            return Fraction(0)
-        num = 0
-        den = 1
-        for c in self.coeffs:
-            num = gcd(num, c.numerator)
-            den = den * c.denominator // gcd(den, c.denominator)
-        return Fraction(num, den)
+        """Positive rational content: gcd of numerators over lcm of
+        denominators, which is gcd(num) / den; 0 for the zero polynomial."""
+        return Fraction(gcd(*self.num), self.den)
 
     def primitive(self) -> tuple[Fraction, "Poly"]:
         """Split into (scalar, primitive) with integer coefficients and a
         positive leading coefficient, so self == scalar * primitive."""
         if self.is_zero():
             return Fraction(0), Poly()
-        cont = self.content()
-        if self.coeffs[-1] < 0:
-            cont = -cont
-        return cont, Poly([c / cont for c in self.coeffs])
+        g = gcd(*self.num)
+        if self.num[-1] < 0:
+            g = -g
+        return Fraction(g, self.den), _poly([x // g for x in self.num], 1)
 
     def __repr__(self):
         return f"Poly({list(self.coeffs)!r})"
@@ -215,72 +248,29 @@ class Poly:
         return " ".join(parts) if parts else "0"
 
 
-class _ZRow(tuple):
-    """A z-polynomial with integer coefficients, ascending and without
-    trailing zeros (zero is the empty row): one numerator of a bivariate
-    `PowerSeries`. Only the ring operations the series need."""
-
-    __slots__ = ()
-
-    @classmethod
-    def stripped(cls, xs) -> "_ZRow":
-        xs = list(xs)
-        while xs and not xs[-1]:
-            xs.pop()
-        return cls(xs)
-
-    def __add__(self, other):
-        return _ZRow.stripped(_add_coeffs(self, (other,) if isinstance(other, int) else other))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _ZRow(-x for x in self)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return _ZRow(x * other for x in self) if other else _ZRow()
-        if not self or not other:
-            return _ZRow()
-        return _ZRow(_mul_coeffs(self, other, len(self) + len(other) - 2, 0))
-
-    __rmul__ = __mul__
-
-    def __floordiv__(self, k: int):
-        return _ZRow(x // k for x in self)
-
-
 def _clear(x) -> tuple:
     """(numerator, denominator) of a coefficient: an int over a positive int
-    for an int or Fraction, a `_ZRow` over the lcm of the denominators for a
-    Poly."""
-    if isinstance(x, int):
-        return x, 1
-    if isinstance(x, Fraction):
+    for an int or Fraction, an integer Poly over its den for a Poly."""
+    if isinstance(x, Poly):
+        return _poly(x.num, 1), x.den
+    if isinstance(x, (int, Fraction)):
         return x.numerator, x.denominator
-    if isinstance(x, Poly) and all(isinstance(c, Fraction) for c in x.coeffs):
-        L = lcm(*(c.denominator for c in x.coeffs))
-        return _ZRow.stripped(c.numerator * (L // c.denominator) for c in x.coeffs), L
     raise TypeError(f"series coefficients are ints, Fractions or Polys of them, not {x!r}")
 
 
 def _value(x, den: int):
-    """The reduced coefficient num/den: a Fraction, or a Poly for a `_ZRow`."""
-    if type(x) is _ZRow:
-        return Poly([Fraction(v, den) for v in x])
+    """The reduced coefficient num/den: a Fraction, or a Poly for an integer Poly."""
+    if type(x) is Poly:
+        return _poly(x.num, den)
     return Fraction(x, den)
-
-
-def _scaled(num, k: int):
-    return num if k == 1 else [x * k for x in num]
 
 
 class PowerSeries:
     """Truncated power series, exact through the stated order.
 
     Coefficient k of x^k, k = 0..order, is num[k] / den: the numerators are
-    integers, or `_ZRow`s of integers when the series lives over a polynomial
-    coefficient ring (bivariate truncations), over one positive den that
+    integers, or integer `Poly`s (of den 1) when the series lives over a
+    polynomial coefficient ring (bivariate truncations), over one positive den that
     shares no factor with all of them. Arithmetic runs on the numerators and
     never rounds. `coeffs` is the reduced view, Fractions or Polys of them,
     built once.
@@ -311,9 +301,11 @@ class PowerSeries:
         for x in num:
             if g == 1:
                 break
-            g = gcd(g, *x) if type(x) is _ZRow else gcd(g, x)
+            g = gcd(g, *x.num) if type(x) is Poly else gcd(g, x)
         if g != 1:
-            num, den = [x // g for x in num], den // g
+            num = [_poly([v // g for v in x.num], 1) if type(x) is Poly else x // g
+                   for x in num]
+            den //= g
         out = cls.__new__(cls)
         out._set(num, den, order)
         return out
@@ -395,10 +387,10 @@ class PowerSeries:
         den e_k c^(order-k) over c^(order+1) with the sign of c^(order+1)
         moved to the numerators, so that den stays positive."""
         c = self.num[0]
-        if type(c) is _ZRow:
-            if len(c) > 1:
+        if type(c) is Poly:
+            if len(c.num) > 1:
                 raise ZeroDivisionError("series inversion needs a constant leading coefficient")
-            c = c[0] if c else 0
+            c = c.num[0]
         if c == 0:
             raise ZeroDivisionError("inversion requires a nonzero constant term")
         e = _inverse_numerators(self.num, c)

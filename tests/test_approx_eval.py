@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from math import factorial
+from math import factorial, gcd, lcm
 
 import mpmath as mp
 import pytest
@@ -469,6 +469,22 @@ class TestEvalCfReference:
             ev = eval_cf(cf, z, depth=depth, precision=128)
             assert (ev.value.real._mpf_, ev.value.imaginary._mpf_, ev.cross_width) == \
                 reference_mp(levels, z, 128)
+
+    @pytest.mark.parametrize("build", [lambda: CRAFTED,
+                                       lambda: euler_cf(g_expansion(20)).levels,
+                                       lambda: euler_cf(f_expansion(20)).levels])
+    def test_integer_levels_from_fractions(self, build):
+        # the transformation per coefficient on the reduced Fractions, with
+        # den the lcm of a level's coefficient denominators
+        levels = build()
+        rows, c_prev = [], 1
+        for lv in levels:
+            a_den = lcm(*(x.denominator for x in lv.num.coeffs))
+            c = lcm(*(x.denominator for x in lv.den.coeffs), a_den // gcd(a_den, c_prev))
+            rows.append((tuple(x.numerator * (c_prev * c // x.denominator) for x in lv.num.coeffs),
+                         tuple(x.numerator * (c // x.denominator) for x in lv.den.coeffs)))
+            c_prev = c
+        assert ContinuedFraction("G", 0, levels)._integer_levels == tuple(rows)
 
 
 class TestEvalCache:

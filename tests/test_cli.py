@@ -425,6 +425,14 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert "usage:" in capsys.readouterr().err
 
+    def test_point_tokens(self):
+        # an exponent's sign does not split the real and imaginary parts
+        tokens = "1/2+14.13i,i,-i,3/4-2i,1e-3i,1/2-1e-3i,2.5E+1-4e-2i"
+        assert cli._points_arg(tokens) == [
+            (Fraction(1, 2), Fraction(1413, 100)), (0, 1), (0, -1), (Fraction(3, 4), -2),
+            (0, Fraction(1, 1000)), (Fraction(1, 2), Fraction(-1, 1000)),
+            (25, Fraction(-1, 25))]
+
     def test_nonpositive_jobs_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["scan", "worpitzky", "10", "--grid", "3x3", "--jobs", "0"])

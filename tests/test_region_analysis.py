@@ -514,6 +514,16 @@ class TestZeroScan:
         res = zero_scan(numerator_poly(build_g(3)), (F(-4), F(-2), F(1), F(2)))
         assert res.winding_number == 1
 
+    @pytest.mark.parametrize("per_edge", [0, -2])
+    def test_initial_per_edge_below_one_rejected(self, per_edge):
+        # with no edge samples the path is one point, and z^4 - 10^-6 would
+        # read a certified winding of 0 around its four roots
+        p = Poly([F(-1, 10**6), 0, 0, 0, 1])
+        box = (F(-1), F(1), F(-1), F(1))
+        with pytest.raises(ValueError, match="initial_per_edge"):
+            zero_scan(p, box, initial_per_edge=per_edge)
+        assert zero_scan(p, box).winding_number == 4
+
     def test_zero_on_boundary_uncertifiable(self):
         with pytest.raises(UncertifiableError):
             zero_scan(Poly([F(-1, 2), 1]), (F(1, 2), F(1), F(0), F(1)))

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -40,6 +40,76 @@ class TestPoly:
         assert prim == Poly([11, 10, 3])
         c, prim = Poly([F(-2), F(-4)]).primitive()
         assert c == F(-2) and prim == Poly([1, 2])
+
+
+def _rational_poly(rng, n):
+    return [F(rng.randint(-30, 30), rng.choice([1, 2, 3, 4, 6, 9, 10, 12])) for _ in range(n)]
+
+
+def _canonical(p):
+    """The integer-row normal form: a positive den free of the numerators'
+    common content, trailing zeros stripped, zero as (0,) over 1."""
+    return (p.den > 0 and gcd(p.den, *p.num) == 1 and all(type(x) is int for x in p.num)
+            and (p.num[-1] != 0 or (p.num, p.den) == ((0,), 1)))
+
+
+class TestIntegerRowPoly:
+    """`Poly` as integer numerators over one positive denominator, against
+    coefficient-wise Fraction arithmetic."""
+
+    def test_equal_values_built_three_ways(self):
+        built = [
+            Poly([F(1, 2), F(2, 3)]),
+            Poly([3, 4]) * F(1, 6),
+            Poly([F(5, 6), F(2, 3), 1]) + Poly([F(-1, 3), 0, -1]),
+        ]
+        for p in built:
+            assert (p.num, p.den) == ((3, 4), 6) and hash(p) == hash(built[0])
+            assert p == built[0] and p.coeffs == (F(1, 2), F(2, 3))
+
+    def test_ring_operations_keep_the_normal_form(self):
+        rng = random.Random(20261019)
+        for _ in range(40):
+            a = _rational_poly(rng, rng.randint(1, 6))
+            b = _rational_poly(rng, rng.randint(1, 6))
+            k = F(rng.randint(-6, 6), rng.randint(1, 8))
+            pa, pb = Poly(a), Poly(b)
+            width = max(len(a), len(b))
+            za, zb = a + [F(0)] * (width - len(a)), b + [F(0)] * (width - len(b))
+            prod = [sum((a[i] * b[j - i] for i in range(len(a)) if 0 <= j - i < len(b)), F(0))
+                    for j in range(len(a) + len(b) - 1)]
+            cases = [
+                (pa + pb, [x + y for x, y in zip(za, zb)]),
+                (pa - pb, [x - y for x, y in zip(za, zb)]),
+                (pa * pb, prod),
+                (pa * k, [x * k for x in a]),
+                (k * pa + k, [a[0] * k + k] + [x * k for x in a[1:]]),
+                (-pa, [-x for x in a]),
+            ]
+            for got, want in cases:
+                assert _canonical(got), got
+                assert got == Poly(want) and got.coeffs == Poly(want).coeffs
+
+    def test_zero_polynomial(self):
+        for z in (Poly(), Poly([0, 0]), Poly([F(0, 5)]), Poly([F(1, 3)]) - F(1, 3),
+                  Poly([F(1, 2), 1]) * 0):
+            assert (z.num, z.den) == ((0,), 1) and z.degree == -1 and not z
+        re, im, den = Poly().gaussian_horner(3, -2, 7)
+        assert (re, im) == (0, 0) and den != 0
+
+    def test_rejects_inexact_coefficients(self):
+        with pytest.raises(TypeError):
+            Poly([1.5])
+        with pytest.raises(TypeError):
+            Poly([1, F(1, 2), 0.25])
+
+    def test_views_keep_types(self):
+        p = Poly([2, F(-3, 4), 0, 0])
+        assert p.coeffs == (F(2), F(-3, 4)) and all(type(c) is F for c in p.coeffs)
+        assert repr(p) == "Poly([Fraction(2, 1), Fraction(-3, 4)])"
+        assert str(p) == "-3/4*s + 2"
+        assert p.content() == F(1, 4) and p.primitive() == (F(-1, 4), Poly([-8, 3]))
+        assert Poly().content() == 0 and p(F(2, 3)) == F(3, 2) and p(2) == F(1, 2)
 
 
 def generic_horner(poly, x):
