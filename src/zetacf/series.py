@@ -141,8 +141,8 @@ class Poly:
         if isinstance(other, Poly):
             return self.num == other.num and self.den == other.den
         if isinstance(other, (int, Fraction)):
-            return len(self.num) == 1 and (self.num[0], self.den) == (other.numerator,
-                                                                      other.denominator)
+            return (len(self.num) == 1 and self.num[0] == other.numerator
+                    and self.den == other.denominator)
         return NotImplemented
 
     def __hash__(self):

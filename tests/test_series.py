@@ -87,8 +87,10 @@ class TestIntegerRowPoly:
                 (-pa, [-x for x in a]),
             ]
             for got, want in cases:
+                while len(want) > 1 and want[-1] == 0:
+                    want.pop()
                 assert _canonical(got), got
-                assert got == Poly(want) and got.coeffs == Poly(want).coeffs
+                assert got.coeffs == tuple(want) and got == Poly(want)
 
     def test_zero_polynomial(self):
         for z in (Poly(), Poly([0, 0]), Poly([F(0, 5)]), Poly([F(1, 3)]) - F(1, 3),
