@@ -475,31 +475,38 @@ def _cf_backward(rows, x: int, y: int, d: int) -> tuple[int, int, int]:
     value (p_re + i p_im)/q, by the backward recurrence on Gaussian integers
     over the integer levels (`ContinuedFraction._integer_levels`).
 
-    With acc = p/q, num(s) = u/u_den and den(s) = v/v_den
-    (`_gaussian_horner`, u_den and v_den powers of d),
-    den(s) + acc = w/(v_den q) with w = v q + p v_den, so
-    num(s)/(den(s) + acc) = u v_den q conj(w) / (u_den |w|^2). Each level
-    divides out gcd(p_re, p_im, q): without it the |w|^2 factor about
-    doubles the length of q at every level (over a million bits by level 20
-    of the m=120 G fraction, against 3.3k bits reduced at level 120).
+    The tail is held as a quotient P/Q of Gaussian integers, Q != 0. With
+    num(s) = u/u_den and den(s) = v/v_den (`_gaussian_horner`, u_den and
+    v_den powers of d), den(s) + P/Q = w/(v_den Q) with w = v Q + P v_den,
+    so num(s)/(den(s) + P/Q) = (u v_den Q)/(u_den w). Each level divides the
+    four integer parts by their content gcd(P_re, P_im, Q_re, Q_im), the
+    fraction-free, content-reduced idiom of Geddes, Czapor & Labahn,
+    Algorithms for Computer Algebra (1992), ch. 2: the numerator rows carry
+    most of their size as integer content, and about half of it cancels at
+    each level. Only after the last level does the value get a real
+    denominator, p = P conj(Q) and q = |Q|^2, reduced once to lowest terms
+    with q > 0.
     """
-    p_re = p_im = 0
-    q = 1
+    P_re = P_im = Q_im = 0
+    Q_re = 1
     for idx in range(len(rows) - 1, -1, -1):
         num, den = rows[idx]
         u_re, u_im, u_den = _gaussian_horner(num, x, y, d)
         v_re, v_im, v_den = _gaussian_horner(den, x, y, d)
-        w_re = v_re * q + p_re * v_den
-        w_im = v_im * q + p_im * v_den
+        w_re = v_re * Q_re - v_im * Q_im + P_re * v_den
+        w_im = v_re * Q_im + v_im * Q_re + P_im * v_den
         if not (w_re or w_im):
             raise ZeroDenominatorError(idx)
-        f = v_den * q
-        p_re = (u_re * w_re + u_im * w_im) * f
-        p_im = (u_im * w_re - u_re * w_im) * f
-        q = u_den * (w_re * w_re + w_im * w_im)
-        g = gcd(p_re, p_im, q)
-        p_re, p_im, q = p_re // g, p_im // g, q // g
-    return p_re, p_im, q
+        t_re, t_im = u_re * v_den, u_im * v_den
+        P_re, P_im = t_re * Q_re - t_im * Q_im, t_re * Q_im + t_im * Q_re
+        Q_re, Q_im = u_den * w_re, u_den * w_im
+        g = gcd(P_re, P_im, Q_re, Q_im)
+        P_re, P_im, Q_re, Q_im = P_re // g, P_im // g, Q_re // g, Q_im // g
+    p_re = P_re * Q_re + P_im * Q_im
+    p_im = P_im * Q_re - P_re * Q_im
+    q = Q_re * Q_re + Q_im * Q_im
+    g = gcd(p_re, p_im, q)
+    return p_re // g, p_im // g, q // g
 
 
 def _mp_values(rounded, z: tuple, prec: int) -> list[tuple[tuple, tuple]]:
@@ -537,8 +544,9 @@ def eval_cf(cf: ContinuedFraction, s, depth: int | None = None,
     With trace=True the forward three-term recurrences are run as well and
     the convergent values plus their denominators q_n are returned, so
     truncation behavior is observable. The exact recurrence runs on the
-    integer levels and the mpmath one on coefficients rounded once per
-    precision; both are computed on first use and kept on `cf`.
+    integer levels, with each tail a content-reduced quotient of Gaussian
+    integers (`_cf_backward`), and the mpmath one on coefficients rounded
+    once per precision; both are computed on first use and kept on `cf`.
 
     Raises ZeroDenominatorError when a denominator vanishes exactly (the
     blow-up event the element test is designed to exclude).

@@ -5,7 +5,8 @@ files are byte-identical across runs for identical (arguments, seed,
 precision); progress and timing go to standard error only.
 
 Exit codes: 0 pass, 1 claim or assertion failure, 2 usage error,
-3 uncertifiable scan result.
+3 uncertifiable scan result or a zeta reference that cannot be computed
+to the requested precision.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .coeff_core import (
     sinh_series,
 )
 from .approx_eval import build_f, build_g, numerator_poly
-from .errors import UncertifiableError
+from .errors import ReferenceAccuracyError, UncertifiableError
 from .region_analysis import (
     binomial_cf_check,
     c_monotonicity_search,
@@ -541,6 +542,9 @@ def main(argv: list[str] | None = None) -> int:
             code = handler(args, cfg, argv, parser)
     except UncertifiableError as exc:
         sys.stderr.write(f"uncertifiable: {exc}\n")
+        return EXIT_UNCERTIFIABLE
+    except ReferenceAccuracyError as exc:
+        sys.stderr.write(f"reference: {exc}\n")
         return EXIT_UNCERTIFIABLE
     elapsed = time.monotonic() - started
     sys.stderr.write(f"done in {elapsed * 1000:.0f} ms\n")

@@ -916,7 +916,11 @@ def zeta_reference(s, precision: int = 256) -> ZetaReference:
         if z == 1:
             raise ValueError("zeta reference undefined at s = 1")
         tail = abs(mp.im(z)) * mp.pi / 2
-        n = int((precision * math.log(2) + float(tail) + 25) / math.log(3 + math.sqrt(8))) + 10
+        count = (precision * math.log(2) + float(tail) + 25) / math.log(3 + math.sqrt(8))
+        if not math.isfinite(count):
+            raise ReferenceAccuracyError("|Im s| too large for the eta series: "
+                                         "its term count is not finite")
+        n = int(count) + 10
         conv = 1 - mp.power(2, 1 - z)
         if abs(conv) < mp.mpf(2) ** (-precision // 2):
             raise ReferenceAccuracyError("eta-to-zeta conversion factor too small at this s")

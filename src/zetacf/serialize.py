@@ -65,17 +65,23 @@ def parse_frac(s: str) -> Fraction:
     return Fraction(_parse_int(num), _parse_int(den) if den else 1)
 
 
+_DECIMAL30 = decimal.Context(prec=30)
+
+
 def decimal30(q: Fraction) -> str:
     """30-significant-digit decimal approximation (explicitly approximate)."""
-    ctx = decimal.Context(prec=30)
-    return str(ctx.divide(decimal.Decimal(q.numerator), decimal.Decimal(q.denominator)))
+    return str(_DECIMAL30.divide(decimal.Decimal(q.numerator), decimal.Decimal(q.denominator)))
+
+
+def _table_row(index: int, q: Fraction) -> dict:
+    """frac_str(q) and decimal30(q) from one Decimal conversion of the
+    numerator and the denominator."""
+    num, den = decimal.Decimal(q.numerator), decimal.Decimal(q.denominator)
+    return {"index": index, "value": f"{num!s}/{den!s}", "decimal": str(_DECIMAL30.divide(num, den))}
 
 
 def table_payload(kind: str, index_name: str, values, extra: dict | None = None) -> dict:
-    rows = [
-        {"index": i, "value": frac_str(v), "decimal": decimal30(v)}
-        for i, v in enumerate(values)
-    ]
+    rows = [_table_row(i, v) for i, v in enumerate(values)]
     payload = {"schema": SCHEMA, "kind": kind, "index": index_name, "rows": rows}
     if extra:
         payload.update(extra)

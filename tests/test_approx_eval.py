@@ -9,6 +9,7 @@ from zetacf.approx_eval import (
     ContinuedFraction,
     PartialFraction,
     PoleIndicator,
+    _cf_backward,
     build_f,
     build_g,
     collapsed,
@@ -368,6 +369,8 @@ class TestEvalCf:
             ((CFLevel(Poly([1]), Poly([0, 1])), inner), mp.mpc(0, 1), 0),  # i + 1/i
             ((*CRAFTED[:4], CFLevel(Poly([1]), self._vanishing_at(z)), inner), z, 4),
             ((*CRAFTED[:2], CFLevel(Poly([F(2, 3)]), Poly([F(-1, 2), F(1, 4)]))), F(2), 2),
+            # a tail that is exactly 0 (level 1's numerator vanishes at 2) under a den(2) = 0
+            ((CFLevel(Poly([1]), Poly([-2, 1])), CFLevel(Poly([-2, 1]), Poly([1])), inner), F(2), 0),
         ]
         for levels, s, level in cases:
             with pytest.raises(ZeroDenominatorError) as ref:
@@ -400,6 +403,15 @@ class TestEvalCf:
             eval_cf(cf, F(1, 2), depth=cf.depth)
 
 
+def assert_lowest_terms(cf, s, depth):
+    """The Gaussian backward recurrence's (p_re, p_im, q) has q > 0 and
+    gcd 1, which eval_cf's Fractions would hide; returns its value."""
+    p_re, p_im, q = _cf_backward(cf._integer_levels[:depth + 1],
+                                 *QComplex.from_value(s).gaussian())
+    assert q > 0 and gcd(p_re, p_im, q) == 1, (s, depth)
+    return QComplex(F(p_re, q), F(p_im, q))
+
+
 class TestEvalCfReference:
     """eval_cf's Gaussian-integer and pre-rounded mpmath recurrences against
     the backward recurrence on Fraction, QComplex and mpc values."""
@@ -423,6 +435,7 @@ class TestEvalCfReference:
                 ev = eval_cf(cf, s, depth=depth)
                 assert ev.value == want and type(ev.value) is type(want), (s, depth)
                 assert ev.levels_used == depth + 1
+                assert_lowest_terms(cf, s, depth)
                 if m <= 12 or depth == 0:
                     tr = eval_cf(cf, s, depth=depth, trace=True)
                     assert tr.value == want
@@ -469,6 +482,31 @@ class TestEvalCfReference:
             ev = eval_cf(cf, z, depth=depth, precision=128)
             assert (ev.value.real._mpf_, ev.value.imaginary._mpf_, ev.cross_width) == \
                 reference_mp(levels, z, 128)
+
+    @pytest.mark.parametrize("s", [F(2), QComplex(F(1, 3), F(2, 7))])
+    def test_tail_vanishes_mid_recurrence(self, s):
+        # level 2's numerator vanishes at s, so the tail below level 2 is
+        # exactly 0 (P = 0) with deeper levels beneath it and levels above
+        z = QComplex.from_value(s)
+        x, n2 = z.re, z.re * z.re + z.im * z.im
+        vanishing = Poly([F(6, 5) * n2, F(-12, 5) * x, F(6, 5)])  # (6/5)(s - z)(s - conj z)
+        assert not vanishing(s)
+        levels = (*CRAFTED[:2], CFLevel(vanishing, Poly([F(7, 2), 1])), *CRAFTED[3:])
+        cf = ContinuedFraction("G", 0, levels)
+        for depth in range(len(levels)):
+            want = reference_backward(levels[:depth + 1], s)
+            got = eval_cf(cf, s, depth=depth).value
+            assert got == want and type(got) is type(want), depth
+            assert assert_lowest_terms(cf, s, depth) == QComplex.from_value(want)
+        assert not reference_backward(levels[2:], s)
+
+    @pytest.mark.parametrize("expansion", [g_expansion, f_expansion])
+    def test_m120_against_reference(self, expansion):
+        cf = euler_cf(expansion(120))
+        for s in seeded_strip_points(120, 2):
+            want = reference_backward(cf.levels, s)
+            assert eval_cf(cf, s).value == want
+            assert assert_lowest_terms(cf, s, cf.depth - 1) == want
 
     @pytest.mark.parametrize("build", [lambda: CRAFTED,
                                        lambda: euler_cf(g_expansion(20)).levels,

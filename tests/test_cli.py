@@ -270,6 +270,23 @@ class TestScan:
         code = cli.main(["--out", str(tmp_path / "z.json"), "scan", "zero", "3"])
         assert code == 3
 
+    @pytest.mark.parametrize("point, message", [
+        # 1 - 2^(1-s) = 0 at s = 1 + 2 pi i k / log 2 (here k = 1)
+        ("1+9.0647202836543876192553658914333336203437229354i",
+         "eta-to-zeta conversion factor too small"),
+        # the reference's term count overflows a float
+        ("1/2+1e400i", "term count is not finite"),
+    ])
+    def test_convergence_reference_failure_exit(self, tmp_path, point, message):
+        # a reference that cannot be computed is exit 3 with one stderr line,
+        # not a traceback read as exit 1 (claim failed)
+        out = tmp_path / "c.json"
+        code = cli.main(["--out", str(out), "scan", "convergence", "--s", point])
+        assert code == 3
+        assert not out.exists()
+        err = sys.stderr.getvalue()
+        assert err.count("\n") == 1 and err.startswith("reference: ") and message in err
+
     def test_convergence_default_point(self, tmp_path):
         out = tmp_path / "c.json"
         code = cli.main(["--precision", "128", "--out", str(out),

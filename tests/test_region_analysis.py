@@ -18,7 +18,7 @@ from zetacf.coeff_core import (
     harmonic_sums,
     stirling_rows,
 )
-from zetacf.errors import UncertifiableError
+from zetacf.errors import ReferenceAccuracyError, UncertifiableError
 from zetacf.qcomplex import QComplex
 from zetacf.region_analysis import (
     RegionGrid,
@@ -782,6 +782,13 @@ class TestZetaReference:
     def test_rejects_pole(self):
         with pytest.raises(ValueError):
             zeta_reference(F(1), 128)
+
+    def test_rejects_infinite_term_count(self):
+        # |Im s| = 1e400 rounds to an infinite float in the term count
+        with mp.workprec(300):
+            s = mp.mpc(mp.mpf(1) / 2, mp.mpf("1e400"))
+        with pytest.raises(ReferenceAccuracyError, match="not finite"):
+            zeta_reference(s, 128)
 
 
 class TestConvergenceProbe:

@@ -50,6 +50,16 @@ def test_table_payload_shape():
     assert p["rows"][1] == {"index": 1, "value": "11/6", "decimal": decimal30(F(11, 6))}
 
 
+def test_table_rows_match_frac_str_and_decimal30():
+    # each row converts num and den to Decimal once; the strings must be the
+    # ones frac_str and decimal30 give, past the 4300-digit int-to-str limit too
+    values = [F(0), F(-3), F(7), F(-11, 6), F(2, 3), F(-(10**4400 + 3), 7 * 10**4350 + 1)]
+    rows = table_payload("t", "i", values)["rows"]
+    assert rows == [{"index": i, "value": frac_str(v), "decimal": decimal30(v)}
+                    for i, v in enumerate(values)]
+    assert rows[0]["value"] == "0/1" and rows[1]["decimal"] == "-3"
+
+
 def test_dump_json_deterministic_with_header():
     payload = {"schema": SCHEMA, "x": 1}
     h = {"tool_version": "0.1.0", "command": "t", "arguments": ["a"], "seed": 1, "precision": 256}
