@@ -491,9 +491,9 @@ def real_line_margin_check(m_max: int, sigmas=(Fraction(1, 2),)) -> tuple[int, F
     comparison for every level the filter cannot decide, over a context
     built from the streamed row (so the cached strip contexts stay put).
     """
-    for sigma in sigmas:
-        if not (0 < sigma < 1):
-            raise ValueError("sigma must lie in (0, 1)")
+    sigmas = tuple(sigmas)  # read twice: checked here, swept per m below
+    if m_max < 3 or not sigmas or not all(0 < sigma < 1 for sigma in sigmas):
+        raise ValueError("need m_max >= 3 and one or more sigmas, each in (0, 1)")
     for n, S in stirling_rows(m_max - 1):
         if n < 2:
             continue
@@ -587,14 +587,12 @@ class ZeroScanResult:
     certified: bool
 
 
-def _atan2_fractions(y: Fraction, x: Fraction) -> float:
-    a = y.numerator * x.denominator
-    b = x.numerator * y.denominator
-    sh = max(abs(a).bit_length(), abs(b).bit_length()) - 52
-    if sh > 0:
-        a >>= sh
-        b >>= sh
-    return math.atan2(a, b)
+def _quadrant(x: int, y: int) -> int:
+    """floor(arg(x + iy) / (pi/2)) for x + iy != 0 and arg in [0, 2 pi):
+    each half-axis belongs to the quadrant it opens."""
+    if y < 0 or (y == 0 and x < 0):
+        return 3 if x >= 0 else 2
+    return 0 if x > 0 else 1
 
 
 _MAX_SAMPLES = 200_000  # the subdivision budget of `zero_scan`
@@ -603,11 +601,12 @@ _MAX_SAMPLES = 200_000  # the subdivision budget of `zero_scan`
 def zero_scan(poly: Poly, rectangle, initial_per_edge: int = 16) -> ZeroScanResult:
     """Winding number of `poly` around a rational rectangle.
 
-    Boundary points are rational, so every value is an exact QComplex and the
-    evaluation error is zero; the winding count is certified by keeping each
-    successive argument step under pi/2 (an exact dot-product sign test, with
-    adaptive midpoint subdivision) and checking that no boundary value
-    vanishes.
+    Boundary points are rational, so each value is an exact integer pair
+    (x, y) over a positive scale. A step between successive values with
+    x0 x1 + y0 y1 > 0 turns by less than pi/2; any other step is split at
+    its midpoint. The quadrant index floor(arg/(pi/2)) then moves by -1, 0
+    or 1 per step, and these moves sum to exactly 4 * winding. Nothing yet
+    certifies the value between two samples (see the README, "Zero counts").
 
     Raises UncertifiableError when the boundary passes too close to a zero
     for the subdivision budget, or exactly through one, and ValueError for an
@@ -622,12 +621,17 @@ def zero_scan(poly: Poly, rectangle, initial_per_edge: int = 16) -> ZeroScanResu
         QComplex(s_lo, t_lo), QComplex(s_hi, t_lo),
         QComplex(s_hi, t_hi), QComplex(s_lo, t_hi), QComplex(s_lo, t_lo),
     ]
+    min_num, min_den = 1, 0  # the least |v|^2 as min_num/min_den; 1/0 before any
 
-    def value(z: QComplex) -> QComplex:
-        v = poly(z)
-        if v.is_zero():
+    def value(z: QComplex) -> tuple[int, int, int]:
+        nonlocal min_num, min_den
+        x, y, d = poly(z).gaussian()
+        if not (x or y):
             raise UncertifiableError(f"polynomial vanishes exactly on the boundary at {z}")
-        return v
+        num, den = x * x + y * y, d * d
+        if num * min_den < min_num * den:
+            min_num, min_den = num, den
+        return x, y, _quadrant(x, y)
 
     # initial closed path
     pts: list[QComplex] = []
@@ -639,19 +643,16 @@ def zero_scan(poly: Poly, rectangle, initial_per_edge: int = 16) -> ZeroScanResu
     pts.append(corners[0])
     vals = [value(p) for p in pts]
 
-    total = 0.0
+    quarter_turns = 0
     samples = len(pts)
     subdivisions = 0
-    min_sq = min(v.abs2() for v in vals)
     # walk segments with an explicit stack so subdivision depth is budgeted
     for i in range(len(pts) - 1):
         stack = [(pts[i], vals[i], pts[i + 1], vals[i + 1], 0)]
         while stack:
             p0, w0, p1, w1, depth = stack.pop()
-            dot = w0.re * w1.re + w0.im * w1.im
-            if dot > 0:
-                cross = w0.re * w1.im - w0.im * w1.re
-                total += _atan2_fractions(cross, dot)
+            if w0[0] * w1[0] + w0[1] * w1[1] > 0:
+                quarter_turns += (w1[2] - w0[2] + 1) % 4 - 1
                 continue
             if depth > 60 or samples > _MAX_SAMPLES:
                 raise UncertifiableError(
@@ -662,20 +663,13 @@ def zero_scan(poly: Poly, rectangle, initial_per_edge: int = 16) -> ZeroScanResu
             wm = value(mid)
             samples += 1
             subdivisions += 1
-            if wm.abs2() < min_sq:
-                min_sq = wm.abs2()
             stack.append((mid, wm, p1, w1, depth + 1))
             stack.append((p0, w0, mid, wm, depth + 1))
 
-    turns = total / (2 * math.pi)
-    winding = round(turns)
-    if abs(turns - winding) > 0.25:
-        raise UncertifiableError(
-            f"argument sum {turns:.6f} turns is not close to an integer"
-        )
+    min_sq = Fraction(min_num, min_den)
     return ZeroScanResult(
         rectangle=(s_lo, s_hi, t_lo, t_hi),
-        winding_number=winding,
+        winding_number=quarter_turns // 4,  # the path ends where it starts
         boundary_min_modulus=fraction_sqrt_float(min_sq),
         boundary_min_modulus_sq=min_sq,
         samples=samples,
@@ -903,6 +897,9 @@ def _cvz_alternating(a, n: int) -> mp.mpc:
     return s / d
 
 
+_MAX_ETA_TERMS = 20_000  # about 0.3 ms per term at 256 bits
+
+
 def zeta_reference(s, precision: int = 256) -> ZetaReference:
     """zeta(s) by the eta-series route with convergence acceleration.
 
@@ -921,6 +918,8 @@ def zeta_reference(s, precision: int = 256) -> ZetaReference:
             raise ReferenceAccuracyError("|Im s| too large for the eta series: "
                                          "its term count is not finite")
         n = int(count) + 10
+        if n + 16 > _MAX_ETA_TERMS:
+            raise ReferenceAccuracyError(f"{n + 16} eta-series terms exceed the term limit")
         conv = 1 - mp.power(2, 1 - z)
         if abs(conv) < mp.mpf(2) ** (-precision // 2):
             raise ReferenceAccuracyError("eta-to-zeta conversion factor too small at this s")

@@ -1,6 +1,8 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -11,6 +13,12 @@ import pytest
 from zetacf import cli, coeff_core
 from zetacf.coeff_core import CSequence, SinhSeries, Witness
 from zetacf.serialize import frac_str
+
+ROOT = Path(__file__).resolve().parent.parent
+# sha256 of `scan zero` reports written with `--out zero.json`, keyed by the
+# arguments before it
+ZERO_REPORT_SHA256 = json.loads(
+    (Path(__file__).parent / "golden" / "scan_zero_sha256.json").read_text())
 
 
 @pytest.fixture(autouse=True)
@@ -286,6 +294,29 @@ class TestScan:
         assert not out.exists()
         err = sys.stderr.getvalue()
         assert err.count("\n") == 1 and err.startswith("reference: ") and message in err
+
+    def test_convergence_reference_term_limit(self, tmp_path):
+        # the eta series would need about 8.9e11 terms at t = 1e12: the
+        # reference refuses at once, exit 3 with one stderr line
+        out = tmp_path / "c.json"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "zetacf.cli", "scan", "convergence",
+             "--s", "1/2+1e12i", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 3 and not out.exists()
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("reference: ") and "term limit" in proc.stderr
+
+    @pytest.mark.parametrize("args", list(ZERO_REPORT_SHA256))
+    def test_zero_report_pinned(self, args, tmp_path, monkeypatch):
+        # the header echoes argv, so the output name is fixed
+        monkeypatch.chdir(tmp_path)
+        cli.main([*args.split(), "--out", "zero.json"])
+        digest = hashlib.sha256(Path("zero.json").read_bytes()).hexdigest()
+        assert digest == ZERO_REPORT_SHA256[args]
 
     def test_convergence_default_point(self, tmp_path):
         out = tmp_path / "c.json"

@@ -372,6 +372,20 @@ class TestRealLineSweep:
         with pytest.raises(ValueError):
             real_line_margin_check(10, sigmas=(F(1, 2), sigma))
 
+    @pytest.mark.parametrize("m_max, sigmas", [(2, (F(1, 2),)), (-5, (F(1, 2),)), (100, ())])
+    def test_empty_sweep_rejected(self, m_max, sigmas):
+        # no m or no sigma to check: None would read as "every m passed"
+        with pytest.raises(ValueError, match="m_max >= 3 and one or more sigmas"):
+            real_line_margin_check(m_max, sigmas=sigmas)
+
+    def test_sigmas_from_an_iterator_are_swept(self, monkeypatch):
+        # the check must not use up the sigmas before the sweep reads them
+        seen = []
+        monkeypatch.setattr(ra, "_point_margin", lambda ctx, sigma, *a, **k: (
+            seen.append((ctx.m, sigma)) or (True, None)))
+        assert real_line_margin_check(6, sigmas=iter([F(1, 3), F(1, 2)])) is None
+        assert seen == [(m, s) for m in (3, 4, 5, 6) for s in (F(1, 3), F(1, 2))]
+
     def test_streamed_rows_give_the_cached_contexts(self):
         # the sweep builds each context from the row stirling_rows streams
         for n, S in stirling_rows(59):
@@ -538,9 +552,103 @@ class TestZeroScan:
         assert res.subdivisions > 0 and res.certified
 
 
+def reference_zero_scan(poly, rectangle, initial_per_edge=16):
+    """The winding count by a float argument sum: the same walk as
+    `zero_scan` on QComplex values, with the atan2 of every accepted step
+    added in a float and the total rounded to whole turns. The reference
+    for `zero_scan`, which decides and counts in integers."""
+    s_lo, s_hi, t_lo, t_hi = (F(v) for v in rectangle)
+    if not (s_lo < s_hi and t_lo < t_hi):
+        raise ValueError("rectangle must have positive width and height")
+    if initial_per_edge < 1:
+        raise ValueError("initial_per_edge must be >= 1")
+    corners = [QComplex(s_lo, t_lo), QComplex(s_hi, t_lo),
+               QComplex(s_hi, t_hi), QComplex(s_lo, t_hi), QComplex(s_lo, t_lo)]
+
+    def value(z):
+        v = poly(z)
+        if v.is_zero():
+            raise UncertifiableError(f"polynomial vanishes exactly on the boundary at {z}")
+        return v
+
+    def atan2(y, x):
+        a, b = y.numerator * x.denominator, x.numerator * y.denominator
+        sh = max(abs(a).bit_length(), abs(b).bit_length()) - 52
+        return math.atan2(a >> sh, b >> sh) if sh > 0 else math.atan2(a, b)
+
+    pts = []
+    for c0, c1 in zip(corners, corners[1:]):
+        for i in range(initial_per_edge):
+            lam = F(i, initial_per_edge)
+            pts.append(QComplex(c0.re + lam * (c1.re - c0.re), c0.im + lam * (c1.im - c0.im)))
+    pts.append(corners[0])
+    vals = [value(p) for p in pts]
+    total = 0.0
+    samples, subdivisions = len(pts), 0
+    min_sq = min(v.abs2() for v in vals)
+    for i in range(len(pts) - 1):
+        stack = [(pts[i], vals[i], pts[i + 1], vals[i + 1], 0)]
+        while stack:
+            p0, w0, p1, w1, depth = stack.pop()
+            dot = w0.re * w1.re + w0.im * w1.im
+            if dot > 0:
+                total += atan2(w0.re * w1.im - w0.im * w1.re, dot)
+                continue
+            if depth > 60 or samples > ra._MAX_SAMPLES:
+                raise UncertifiableError(
+                    "boundary argument cannot be tracked: contour passes too "
+                    "close to a zero at the subdivision budget")
+            mid = QComplex((p0.re + p1.re) / 2, (p0.im + p1.im) / 2)
+            wm = value(mid)
+            samples += 1
+            subdivisions += 1
+            min_sq = min(min_sq, wm.abs2())
+            stack.append((mid, wm, p1, w1, depth + 1))
+            stack.append((p0, w0, mid, wm, depth + 1))
+    turns = total / (2 * math.pi)
+    winding = round(turns)
+    if abs(turns - winding) > 0.25:
+        raise UncertifiableError(f"argument sum {turns:.6f} turns is not close to an integer")
+    return ra.ZeroScanResult((s_lo, s_hi, t_lo, t_hi), winding, ff.fraction_sqrt_float(min_sq),
+                             min_sq, samples, subdivisions, True)
+
+
+def _outcome(scan, *args):
+    try:
+        return scan(*args)
+    except (UncertifiableError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _band(m):
+    T = half_sqrt_log_lower(m)
+    return (F(0), F(1), -T, T)
+
+
+def _zn(n):
+    return Poly([F(-1, 10**6)] + [0] * (n - 1) + [1])
+
+
+_UNIT_SQUARE = (F(-1), F(1), F(-1), F(1))
+
+
+def _reference_scans():
+    """(id, poly, rectangle): the collapsed numerators over the strip band,
+    z^n - 10^-6 around its roots, a box off the strip and a root box."""
+    for m in (10, 50, 150):
+        yield f"G{m}-band", numerator_poly(build_g(m)), _band(m)
+        yield f"F{m}-band", numerator_poly(build_f(m)), _band(m)
+    for n in (4, 8, 16, 32, 40, 48, 64):
+        yield f"zn{n}", _zn(n), _UNIT_SQUARE
+    yield "F20-box", numerator_poly(build_f(20)), (F(-3, 2), F(1, 3), F(-2, 5), F(7, 4))
+    yield "G3-root-box", numerator_poly(build_g(3)), (F(-4), F(-2), F(1), F(2))
+
+
 class TestZeroScanReference:
-    """zero_scan with `Poly.__call__` against the same scan with Horner on
-    QComplex values patched in: every field of the result is equal."""
+    """zero_scan against the float argument sum of `reference_zero_scan`, and
+    against the same scan with Horner on QComplex values patched into
+    `Poly.__call__`: every field of the result is equal, or both raise the
+    same error."""
 
     @staticmethod
     def generic_call(poly, x):
@@ -550,16 +658,59 @@ class TestZeroScanReference:
         return acc
 
     @pytest.mark.parametrize("poly, rect", [
-        (numerator_poly(build_g(50)), (F(0), F(1), -half_sqrt_log_lower(50),
-                                       half_sqrt_log_lower(50))),
+        (numerator_poly(build_g(50)), _band(50)),
         (numerator_poly(build_f(20)), (F(-3, 2), F(1, 3), F(-2, 5), F(7, 4))),
         # z^n - 10^-6; at n = 40 both report the wrong certified winding 24
-        *((Poly([F(-1, 10**6)] + [0] * (n - 1) + [1]), (-1, 1, -1, 1)) for n in (8, 32, 40)),
+        *((_zn(n), _UNIT_SQUARE) for n in (8, 32, 40)),
     ], ids=["G50-band", "F20-box", "zn8", "zn32", "zn40"])
     def test_matches_qcomplex_horner(self, poly, rect, monkeypatch):
         got = zero_scan(poly, rect)
         monkeypatch.setattr(Poly, "__call__", self.generic_call)
         assert got == zero_scan(poly, rect)
+
+    @pytest.mark.parametrize("per_edge", [1, 2, 16])
+    def test_matches_float_argument_sum(self, per_edge):
+        for name, poly, rect in _reference_scans():
+            got = zero_scan(poly, rect, per_edge)
+            assert got == reference_zero_scan(poly, rect, per_edge), name
+
+    @pytest.mark.parametrize("per_edge", [2, 4, 8])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_values_on_the_axes(self, n, per_edge):
+        # z^n on the square: the edge midpoints, and for even n the corners,
+        # map onto the axes; steps of exactly a quarter turn (dot = 0) are split
+        p = Poly([0] * n + [1])
+        got = zero_scan(p, _UNIT_SQUARE, per_edge)
+        assert got == reference_zero_scan(p, _UNIT_SQUARE, per_edge)
+        assert got.winding_number == n and got.boundary_min_modulus_sq == 1
+
+    @pytest.mark.parametrize("rect, per_edge", [
+        ((F(1, 2), F(1), F(0), F(1)), 16),  # a root on the boundary
+        ((F(1), F(1), F(0), F(1)), 16),  # an empty rectangle
+        (_UNIT_SQUARE, 0),
+    ])
+    def test_same_errors(self, rect, per_edge):
+        p = Poly([F(-1, 2), 1])
+        got = _outcome(zero_scan, p, rect, per_edge)
+        assert isinstance(got, tuple)
+        assert got == _outcome(reference_zero_scan, p, rect, per_edge)
+
+    @pytest.mark.parametrize("e, budget", [(40, 40), (70, ra._MAX_SAMPLES)])
+    def test_subdivision_budget_error(self, e, budget, monkeypatch):
+        # conjugate roots 2^-e inside the right edge: at e = 40 the walk needs
+        # more than 40 samples, at e = 70 more than 60 halvings of a step
+        monkeypatch.setattr(ra, "_MAX_SAMPLES", budget)
+        re0 = F(1, 2) - F(1, 2**e)
+        p = Poly([re0 * re0 + F(1, 9), -2 * re0, 1])
+        rect = (F(0), F(1, 2), F(-1, 2), F(1, 2))
+        got = _outcome(zero_scan, p, rect, 4)
+        assert got == _outcome(reference_zero_scan, p, rect, 4)
+        assert got[0] is UncertifiableError and "subdivision budget" in got[1]
+
+    def test_quadrant_index(self):
+        # floor(arg / (pi/2)) with arg in [0, 2 pi): each half-axis opens a quadrant
+        dirs = [(1, 0), (5, 3), (0, 1), (-2, 7), (-1, 0), (-4, -1), (0, -3), (6, -1)]
+        assert [ra._quadrant(x, y) for x, y in dirs] == [0, 0, 1, 1, 2, 2, 3, 3]
 
 
 def reference_monotonicity(seqs, m_from):
