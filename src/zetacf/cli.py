@@ -23,6 +23,8 @@ from pathlib import Path
 from . import __version__
 from .coeff_core import (
     _row_tops,
+    _sinh_enclosure,
+    _sinh_z_row,
     _tops_prove,
     a_invariant_witness,
     bernoulli_table,
@@ -248,19 +250,47 @@ def _verify_binomial_cf(m_max: int) -> str | None:
     return None if res.passed else f"first mismatch at y^{res.first_mismatch}"
 
 
+def _sinh_open_levels(g: list[int]) -> tuple[int, list[int], list[int]]:
+    """The sign levels k (d_k > 0) and log-concavity levels k
+    (d_k^2 >= d_{k-1} d_{k+1}) that interval enclosures of the inverse of the
+    z-row g leave open, tried at 128 bits and doubled while the precision
+    stays within a quarter of the exact row's size, N bit_length(u) / 4.
+    Returns (the last precision tried or 0, open signs, open log-concavity
+    levels); an enclosure only ever proves a level."""
+    N = len(g)
+    signs, pairs = list(range(N)), list(range(1, N - 1))
+    tried, bits = 0, 128
+    while bits <= N * g[0].bit_length() // 4 and (signs or pairs):
+        enc = _sinh_enclosure(g, bits)
+        lo = enc[0]
+        signs = [k for k in range(N) if lo[k] <= 0]
+        pairs = [k for k in range(1, N - 1)
+                 if min(lo[k - 1:k + 2]) <= 0 or not _tops_prove(enc, k, 1, 1)]
+        tried, bits = bits, 2 * bits
+    return tried, signs, pairs
+
+
 def _verify_sinh(n_terms: int) -> str | None:
     # d[k] = num[k] / den with den > 0, so signs and log-concavity are
-    # decided on the integer row; Fractions are built only for a witness.
-    # A level is first proved from the row's 62-bit tops, and only a level
-    # they leave undecided compares the full products.
+    # decided on integers; Fractions are built only for a witness. A level is
+    # first proved from an enclosure of the row, and only the levels it
+    # leaves open are decided on the exact row: from its 62-bit tops, and
+    # then, if they too leave a level undecided, by the full products.
     for r2 in _SINH_R2:
+        g, _ = _sinh_z_row(r2, n_terms)
+        bits, signs, pairs = _sinh_open_levels(g)
+        sys.stderr.write(f"verify logconcave-sinh: r^2={frac_str(r2)} enclosure at "
+                         f"{bits} bits, {len(signs) + len(pairs)} levels left to the "
+                         "exact row\n")
+        if not (signs or pairs):
+            continue
         s = sinh_series(r2, n_terms)
         row = s.num
-        for k, v in enumerate(row):
-            if v <= 0:
+        for k in signs:
+            if row[k] <= 0:
                 return f"d[{k}] <= 0 at r^2={frac_str(r2)}: {frac_str(s.d[k])}"
         tops = _row_tops(row)  # not None: every entry is positive
-        for k in range(1, len(row) - 1):
+        for k in pairs:
             if _tops_prove(tops, k, 1, 1):
                 continue
             if row[k] * row[k] < row[k - 1] * row[k + 1]:

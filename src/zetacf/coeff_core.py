@@ -430,37 +430,83 @@ class SinhSeries:
                      for k, n in enumerate(self.num))
 
 
+def _sinh_z_row(r2: Fraction, N: int) -> tuple[list[int], int]:
+    """The integer z-row g of D H_N(1-z) and D = (2N)! q^(N-1), r^2 = p/q.
+
+    The terms h_i = D r^(2i) / (2i+2)! of D H_N(u) are integers, and so are
+    g_k = (-1)^k sum_{i>=k} C(i,k) h_i, the h-row shifted by 1
+    (`_taylor_shift`) with alternating signs. g_0 = D H_N(1) > 0."""
+    if r2 < 0:
+        raise ValueError("r_squared must be >= 0")
+    if N < 1:
+        raise ValueError("n_terms must be >= 1")
+    p, q = r2.numerator, r2.denominator
+    f2N = factorial(2 * N)
+    h = [f2N // factorial(2 * i + 2) * p**i * q ** (N - 1 - i) for i in range(N)]
+    return ([x if k % 2 == 0 else -x for k, x in enumerate(_taylor_shift(h))],
+            f2N * q ** (N - 1))
+
+
 def sinh_series(r_squared, n_terms: int) -> SinhSeries:
     """Expand the truncated kernel in z = 1 - u through degree n_terms - 1.
 
-    With r^2 = p/q, N = n_terms and D = (2N)! q^(N-1), the terms
-    h_i = D r^(2i) / (2i+2)! of D H_N(u) are integers, and so are the
-    z-coefficients g_k = (-1)^k sum_{i>=k} C(i,k) h_i of D H_N(1-z), the
-    h-row shifted by 1 (`_taylor_shift`) with alternating signs. Their
-    inverse is e_k / u^(k+1) with u = g_0 > 0, e_0 = 1 and
+    With g and D from `_sinh_z_row`, the inverse of the z-row g is
+    e_k / u^(k+1) with u = g_0 > 0, e_0 = 1 and
     e_k = -sum_{j=1..k} g_j u^(j-1) e_{k-j} (`_inverse_numerators`), so
     d_k = 2 D e_k / u^(k+1), kept over the shared denominator u^N.
     r_squared = 0 is the degenerate limit and yields the constant series 4.
     """
     r2 = Fraction(r_squared)
-    if r2 < 0:
-        raise ValueError("r_squared must be >= 0")
-    if n_terms < 1:
-        raise ValueError("n_terms must be >= 1")
+    g, D = _sinh_z_row(r2, n_terms)
     N = n_terms
-    p, q = r2.numerator, r2.denominator
-    f2N = factorial(2 * N)
-    h = [f2N // factorial(2 * i + 2) * p**i * q ** (N - 1 - i) for i in range(N)]
-    g = [x if k % 2 == 0 else -x for k, x in enumerate(_taylor_shift(h))]
     u = g[0]
     e = _inverse_numerators(g, u)
-    two_D = 2 * f2N * q ** (N - 1)
     num = [0] * N
     pw = 1  # u^(N-1-k), and u^N after the loop
     for k in range(N - 1, -1, -1):
-        num[k] = two_D * e[k] * pw
+        num[k] = 2 * D * e[k] * pw
         pw *= u
     return SinhSeries(r2, tuple(num), pw, u)
+
+
+def _sinh_enclosure(g: list[int], bits: int) -> tuple[list[int], list[int], list[int]]:
+    """Intervals around y_k = d_k / (2D), the inverse of the z-row g
+    (`_sinh_z_row`): y_0 = 1/u and y_k = -(sum_{j=1..k} g_j y_{k-j}) / u
+    with u = g_0 > 0. Returns (lo, hi, e) in `_row_tops`' shape, with
+    lo_k 2^e_k <= y_k <= hi_k 2^e_k, so lo_k > 0 proves d_k > 0 and
+    `_tops_prove(enclosure, k, 1, 1)` proves d_k^2 >= d_{k-1} d_{k+1} once
+    lo_{k-1}, lo_k, lo_{k+1} > 0.
+
+    Intervals [a 2^e, b 2^e] over Python ints (Moore, Kearfott & Cloud 2009,
+    ch. 3): products with the integers g_j and the sums are exact, the
+    division by u rounds outward, and each level is then cut outward to
+    about `bits` bits."""
+    u = g[0]
+    ub = u.bit_length()
+    lo, hi, ex = [], [], []
+    for k in range(len(g)):
+        # [a, b] 2^f holds -y_k u: -1 at k = 0, else sum_j g_j y_{k-j}
+        a = b = -1
+        f = 0
+        if k:
+            a = b = 0
+            f = min(ex)
+            for j in range(1, k + 1):
+                c, sh = g[j], ex[k - j] - f
+                x, y = c * lo[k - j] << sh, c * hi[k - j] << sh
+                if c < 0:
+                    x, y = y, x
+                a += x
+                b += y
+        # y_k in [-b, -a] 2^f / u; scale up so the quotient keeps `bits` bits
+        s = max(bits + ub + 1 - max(abs(a), abs(b)).bit_length(), 0)
+        x, y = (-b << s) // u, -((a << s) // u)  # floor and ceil of -b/u, -a/u
+        f -= s
+        cut = max(max(abs(x), abs(y)).bit_length() - bits, 0)
+        lo.append(x >> cut)
+        hi.append(-(-y >> cut))
+        ex.append(f + cut)
+    return lo, hi, ex
 
 
 # ---------------------------------------------------------------------------

@@ -491,7 +491,12 @@ def real_line_margin_check(m_max: int, sigmas=(Fraction(1, 2),)) -> tuple[int, F
     comparison for every level the filter cannot decide, over a context
     built from the streamed row (so the cached strip contexts stay put).
     """
-    sigmas = tuple(sigmas)  # read twice: checked here, swept per m below
+    # converted exactly, as a point is for `worpitzky_margin`, and kept: the
+    # sigmas are read twice, checked here and swept per m below
+    points = [_rationalize_point(sigma) for sigma in sigmas]
+    if any(t for _, t in points):
+        raise ValueError("each sigma must be real")
+    sigmas = tuple(sigma for sigma, _ in points)
     if m_max < 3 or not sigmas or not all(0 < sigma < 1 for sigma in sigmas):
         raise ValueError("need m_max >= 3 and one or more sigmas, each in (0, 1)")
     for n, S in stirling_rows(m_max - 1):

@@ -36,6 +36,12 @@ def run_cli(args, tmp_path, name="out.json"):
     return code, out
 
 
+def all_levels_open(g):
+    """A `_sinh_open_levels` whose enclosures decide nothing, so every level
+    of the sinh row goes to the exact row."""
+    return 0, list(range(len(g))), list(range(1, len(g) - 1))
+
+
 def insert_global_flags(args, flags):
     return flags + args
 
@@ -154,6 +160,7 @@ class TestVerify:
     ])
     def test_sinh_failure_witness(self, num, witness, tmp_path, monkeypatch):
         # the verdict is decided on the integer row; the witness text is exact
+        monkeypatch.setattr(cli, "_sinh_open_levels", all_levels_open)
         monkeypatch.setattr(cli, "sinh_series",
                             lambda r2, n: SinhSeries(Fraction(r2), num, 8, 2))
         code, out = run_cli(["verify", "logconcave-sinh", "3"], tmp_path)
@@ -184,6 +191,7 @@ class TestVerify:
             return tops_said[-1]
 
         monkeypatch.setattr(cli, "_tops_prove", tops_prove)
+        monkeypatch.setattr(cli, "_sinh_open_levels", all_levels_open)
         # u = 1: consecutive Fibonacci numbers are coprime
         monkeypatch.setattr(cli, "sinh_series",
                             lambda r2, n: SinhSeries(Fraction(r2), num, 1, 1))
@@ -196,6 +204,29 @@ class TestVerify:
                                       f"{frac_str(sq)} < {frac_str(ab)}")
         else:
             assert tops_said == [False] * 4 and code == 0 and doc["pass"] is True
+
+    def test_sinh_decided_without_the_exact_row(self, tmp_path, monkeypatch, capsys):
+        # at n = 60 the enclosures decide every level of all four rows
+        def no_exact_row(r2, n):
+            raise AssertionError("the exact sinh row was built")
+
+        monkeypatch.setattr(cli, "sinh_series", no_exact_row)
+        code, out = run_cli(["verify", "logconcave-sinh", "60"], tmp_path)
+        doc = json.loads(out.read_text())
+        assert code == 0 and doc["pass"] is True and doc["witness"] is None
+        # one stderr line per r^2, and none of it in the report
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "logconcave-sinh" in line] == [
+            f"verify logconcave-sinh: r^2={r2} enclosure at {bits} bits, "
+            "0 levels left to the exact row"
+            for r2, bits in (("1/4", 256), ("1/1", 256), ("100/1", 256), ("10000/1", 512))]
+        assert "enclosure" not in out.read_text()
+
+    @pytest.mark.parametrize("n", [3, 8, 30, 60])
+    def test_sinh_enclosures_agree_with_the_exact_check(self, n, monkeypatch):
+        fast = cli._verify_sinh(n)
+        monkeypatch.setattr(cli, "_sinh_open_levels", all_levels_open)
+        assert fast == cli._verify_sinh(n)
 
 
 class TestScan:

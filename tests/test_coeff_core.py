@@ -1,3 +1,4 @@
+import random
 import re
 from fractions import Fraction as F
 from math import comb, factorial
@@ -295,6 +296,39 @@ class TestSinhSeries:
         d = s.d
         assert len(d) == n and all(type(x) is F for x in d)
         assert all(x.numerator * s.den == y * x.denominator for x, y in zip(d, s.num))
+
+    @pytest.mark.parametrize("r2", [F(0), F(1, 4), F(1), F(100), F(10000), *(
+        F(rng.randint(1, 10**6), rng.randint(1, 10**3))
+        for rng in [random.Random(2101)] for _ in range(3))])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 30, 60])
+    def test_enclosure_contains_the_exact_row(self, r2, n):
+        # y_k = d_k / (2D) = num[k] / (2D den) must lie in
+        # [lo_k 2^e_k, hi_k 2^e_k] at two precisions below the CLI's ladder
+        # and at each rung it climbs (128 bits, doubled up to
+        # N bit_length(u) / 4 while a level is open), and every level the
+        # enclosure proves must hold on the exact row
+        g, D = coeff_core._sinh_z_row(r2, n)
+        s = sinh_series(r2, n)
+        scale = 2 * D * s.den
+        bits = 8
+        while bits <= max(n * g[0].bit_length() // 4, 64):
+            enc = lo, hi, ex = coeff_core._sinh_enclosure(g, bits)
+            for x, a, b, e in zip(s.num, lo, hi, ex):
+                # the cut keeps `bits` bits; rounding up can carry one more
+                assert a <= b and max(abs(a), abs(b)).bit_length() <= bits + 1
+                # a 2^e <= x / scale <= b 2^e, as integers
+                if e >= 0:
+                    assert a * scale << e <= x <= b * scale << e
+                else:
+                    assert a * scale <= x << -e <= b * scale
+            signs = [k for k in range(n) if lo[k] > 0]
+            pairs = [k for k in range(1, n - 1) if min(lo[k - 1:k + 2]) > 0
+                     and coeff_core._tops_prove(enc, k, 1, 1)]
+            assert all(s.num[k] > 0 for k in signs)
+            assert all(s.num[k] ** 2 >= s.num[k - 1] * s.num[k + 1] for k in pairs)
+            if bits >= 128 and len(signs) + len(pairs) == max(2 * n - 2, 1):
+                break  # every level decided: the ladder stops here
+            bits = 8 * bits if bits < 64 else 2 * bits
 
     def test_bad_args(self):
         with pytest.raises(ValueError):

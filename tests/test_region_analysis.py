@@ -378,6 +378,22 @@ class TestRealLineSweep:
         with pytest.raises(ValueError, match="m_max >= 3 and one or more sigmas"):
             real_line_margin_check(m_max, sigmas=sigmas)
 
+    def test_float_sigma_is_converted_exactly(self, monkeypatch):
+        # 0.5 is the dyadic 1/2: the sweep sees the same Fraction
+        seen = []
+        monkeypatch.setattr(ra, "_point_margin", lambda ctx, sigma, *a, **k: (
+            seen.append(sigma) or (True, None)))
+        assert real_line_margin_check(10, sigmas=(0.5,)) is None
+        assert seen and all(type(s) is F and s == F(1, 2) for s in seen)
+        monkeypatch.undo()
+        assert real_line_margin_check(40, sigmas=(0.5, 0.125)) == real_line_margin_check(
+            40, sigmas=(F(1, 2), F(1, 8)))
+
+    @pytest.mark.parametrize("sigma", [complex(0.5, 1), (F(1, 2), F(1, 3))])
+    def test_non_real_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="each sigma must be real"):
+            real_line_margin_check(10, sigmas=(F(1, 2), sigma))
+
     def test_sigmas_from_an_iterator_are_swept(self, monkeypatch):
         # the check must not use up the sigmas before the sweep reads them
         seen = []
