@@ -477,8 +477,8 @@ def _sinh_enclosure(g: list[int], bits: int) -> tuple[list[int], list[int], list
     `_tops_prove(enclosure, k, 1, 1)` proves d_k^2 >= d_{k-1} d_{k+1} once
     lo_{k-1}, lo_k, lo_{k+1} > 0.
 
-    Intervals [a 2^e, b 2^e] over Python ints (Moore, Kearfott & Cloud 2009,
-    ch. 3): products with the integers g_j and the sums are exact, the
+    Intervals [a 2^e, b 2^e] over Python ints (Moore, Kearfott & Cloud,
+    2009): products with the integers g_j and the sums are exact, the
     division by u rounds outward, and each level is then cut outward to
     about `bits` bits."""
     u = g[0]
