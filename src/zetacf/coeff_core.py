@@ -122,6 +122,26 @@ def _first_nonroot(S: list[int]) -> int | None:
     return None
 
 
+def _deflates_to(S: list[int], prev: list[int]) -> bool:
+    """True when m! p_m(t) = (m - t) (m-1)! p_{m-1}(t), m = len(S) - 1,
+    for the rows S = m! a_{m,.} and prev = (m-1)! a_{m-1,.}: one synthetic
+    division of the signed row by (t - m) leaves remainder 0 and a quotient
+    equal to minus the signed prev.
+
+    Then p_m vanishes at t = m and wherever p_{m-1} does, so a sweep that
+    has proved p_{m-1} vanishes at t = 1..m-1 has proved p_m vanishes at
+    t = 1..m; p_0 = 1 has no root to prove. O(m) small-by-big products."""
+    m = len(S) - 1
+    if len(prev) != m:
+        return False
+    q = 0  # (-1)^j times the division's running value at t^j
+    for j in range(m, 0, -1):
+        q = S[j] - m * q
+        if q != prev[j - 1]:  # the quotient's t^(j-1) coefficient
+            return False
+    return S[0] == m * q  # the remainder vanishes
+
+
 _TOP_BITS = 62
 
 
@@ -185,20 +205,29 @@ class BernoulliTable:
         return self.b[j]
 
 
-# Both routes run over E_k = L B_k, L = lcm(1..n_max+1): by von Staudt-Clausen
-# every den B_k divides L, so both stay in integers and the recurrence's
-# division by n+1 is exact.
-def _bernoulli_recurrence(n_max: int) -> list[Fraction]:
-    # sum_{k=0}^{n} C(n+1, k) B_k = 0 for n >= 1
-    L = lcm(*range(1, n_max + 2))
-    E = [L]
-    row = [1, 1]  # C(n, k), k = 0..n, carried as Pascal's row
-    for n in range(1, n_max + 1):
-        row = [1] + [row[k - 1] + row[k] for k in range(1, n + 1)] + [1]
-        E.append(-sum(row[k] * E[k] for k in range(n) if E[k]) // (n + 1))
-    return [Fraction(e, L) for e in E]
+def _bernoulli_tangent(n_max: int) -> list[Fraction]:
+    # The tangent numbers T_1..T_K, K = n_max/2, in place (Brent & Harvey,
+    # "Fast computation of Bernoulli, Tangent and Secant numbers", 2013):
+    # only small-by-big products. Then
+    # B_{2k} = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), and odd B_n = 0 for n >= 3.
+    K = n_max // 2
+    T = [0, 1] + [0] * (K - 1)
+    for k in range(2, K + 1):
+        T[k] = (k - 1) * T[k - 1]
+    for k in range(2, K + 1):
+        for j in range(k, K + 1):
+            T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
+    out = [Fraction(1)] + [Fraction(0)] * n_max
+    if n_max >= 1:
+        out[1] = Fraction(-1, 2)
+    for k in range(1, K + 1):
+        f = 4 ** k
+        out[2 * k] = Fraction((-1) ** (k - 1) * 2 * k * T[k], f * (f - 1))
+    return out
 
 
+# The tableau runs over E_k = L B_k, L = lcm(1..n_max+1): by von
+# Staudt-Clausen every den B_k divides L, so it stays in integers.
 def _bernoulli_akiyama_tanigawa(n_max: int) -> list[Fraction]:
     # The tableau natively produces B_1 = +1/2; flip it to the B_1 = -1/2
     # convention used throughout (even indices agree in both conventions).
@@ -219,7 +248,7 @@ _BERN: BernoulliTable | None = None  # the longest table computed so far
 
 
 def bernoulli_table(n_max: int) -> BernoulliTable:
-    """Exact Bernoulli numbers, computed by the binomial recurrence and
+    """Exact Bernoulli numbers, computed from the tangent numbers and
     confirmed entry by entry against an Akiyama-Tanigawa tableau. The two
     routes must agree exactly.
 
@@ -230,7 +259,7 @@ def bernoulli_table(n_max: int) -> BernoulliTable:
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     if _BERN is None or _BERN.n_max < n_max:
-        B = _bernoulli_recurrence(n_max)
+        B = _bernoulli_tangent(n_max)
         B2 = _bernoulli_akiyama_tanigawa(n_max)
         if B != B2:
             bad = next(i for i in range(n_max + 1) if B[i] != B2[i])
@@ -283,16 +312,22 @@ class CSequence:
         return tuple(Fraction(n, self.den) for n in self.num)
 
 
+def _t_weights(n: int) -> tuple[list[int], int]:
+    """w_j = (1-2j) B_{2j} L, j = 0..n/2, as integers, with L the lcm of
+    those den B_{2j}."""
+    B = bernoulli_table(n)
+    even = [B[2 * j] for j in range(n // 2 + 1)]
+    L = lcm(*(b.denominator for b in even))
+    return [(1 - 2 * j) * b.numerator * (L // b.denominator)
+            for j, b in enumerate(even)], L
+
+
 def _t_row(m: int, S: list[int]) -> tuple[list[int], int]:
     """T_j = a_{m,2j} (1-2j) B_{2j}, j = 0..m/2, as integers over one
     denominator D = m! lcm(den B_{2j}): T_j = row[j] / D. S is the integer
     row m! a_{m,.}."""
-    B = bernoulli_table(m)
-    even = [B[2 * j] for j in range(m // 2 + 1)]
-    L = lcm(*(b.denominator for b in even))
-    row = [S[2 * j] * (1 - 2 * j) * b.numerator * (L // b.denominator)
-           for j, b in enumerate(even)]
-    return row, factorial(m) * L
+    w, L = _t_weights(m)
+    return [S[2 * j] * wj for j, wj in enumerate(w)], factorial(m) * L
 
 
 def _taylor_shift(a: list[int]) -> list[int]:
@@ -536,24 +571,31 @@ def a_invariant_witness(m_max: int, deep_roots: bool = True) -> Witness | None:
     Newton's binomial-normalized log-concavity, and the resulting
     non-increase of j a_j / a_{j-1}. All comparisons are integer-exact: a
     level is first proved from the row's 62-bit tops (`_tops_prove`), and
-    only a level they leave undecided compares the full products.
+    only a level they leave undecided compares the full products. The roots
+    are proved by induction over the sweep: each row deflates by (t - m) to
+    the previous, already checked row (`_deflates_to`), and only a row that
+    does not is divided root by root (`_first_nonroot`) to name its witness.
     """
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
     fm = 1
+    prev = None
     for (m, S), h in zip(stirling_rows(m_max), harmonic_sums(m_max)):
         if m >= 1:
             fm *= m
-        witness = _row_witness(m, S, fm, h, deep_roots)
+        witness = _row_witness(m, S, fm, h, deep_roots, prev)
         if witness is not None:
             return witness
+        prev = S
     return None
 
 
 def _row_witness(m: int, S: list[int], fm: int, h: Fraction,
-                 deep_roots: bool) -> Witness | None:
+                 deep_roots: bool, prev: list[int] | None = None) -> Witness | None:
     """The invariants of `a_invariant_witness` for one integer row
-    S = m! a_{m,.}, with fm = m! and h = h_m."""
+    S = m! a_{m,.}, with fm = m! and h = h_m. prev, when given, is the row
+    m - 1, already proved to vanish at t = 1..m-1: if S deflates to it, the
+    roots are proved without dividing root by root."""
     if S[0] != fm:
         return Witness("a0=1", m, 0, Fraction(S[0], fm), Fraction(1))
     if m >= 1:
@@ -566,7 +608,7 @@ def _row_witness(m: int, S: list[int], fm: int, h: Fraction,
     if tops is None:
         j = next(j for j, s in enumerate(S) if s <= 0)
         return Witness("positivity", m, j, Fraction(S[j], fm), Fraction(0))
-    if deep_roots:
+    if deep_roots and not (prev is not None and _deflates_to(S, prev)):
         k = _first_nonroot(S)
         if k is not None:
             return Witness("root-vanishing", m, k, Fraction(_row_eval_at_int(S, k), fm),
@@ -606,21 +648,25 @@ def c1_identity_witness(m_max: int) -> Witness | None:
     """Observed identity c_{m,1} = 2(m+1)/(m+2) h_{m+1}, checked exactly.
 
     Verified as a numerical observation, not assumed anywhere else.
+    c_{m,1} = (m+1) sum_j T_j is one weighted sum of the row: with the
+    weights w_j = (1-2j) B_{2j} L of the sweep's largest table, formed once,
+    c_{m,1} = top / (m! L) with top = (m+1) sum_j S[2j] w_j. Each row is
+    compared by cross-multiplication; only a witness reduces the Fraction.
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
-    bernoulli_table(m_max)  # the sweep's largest table, once
+    w, L = _t_weights(m_max)
     hs = harmonic_sums(m_max + 1)
     next(hs)  # h_0
     next(hs)  # h_1
+    fm = 1
     for m, S in stirling_rows(m_max):
         if m < 1:
             continue
+        fm *= m
         h_next = next(hs)  # h_{m+1}
-        row, D = _t_row(m, S)
-        c1 = Fraction((m + 1) * sum(row), D)
+        top = (m + 1) * sum(S[2 * j] * w[j] for j in range(m // 2 + 1))
         expected = Fraction(2 * (m + 1), m + 2) * h_next
-        if c1 != expected:
-            return Witness("c1-identity", m, 1, c1, expected)
+        if top * expected.denominator != expected.numerator * fm * L:
+            return Witness("c1-identity", m, 1, Fraction(top, fm * L), expected)
     return None
-

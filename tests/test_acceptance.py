@@ -35,7 +35,7 @@ from zetacf.approx_eval import (
 )
 from zetacf.coeff_core import (
     _bernoulli_akiyama_tanigawa,
-    _bernoulli_recurrence,
+    _bernoulli_tangent,
     a_invariant_witness,
     c1_identity_witness,
     c_genfunc_oracle,
@@ -127,7 +127,7 @@ def test_criterion_03_exact_invariant_sweep():
         w = c1_identity_witness(500)
         if w is not None:
             ok, detail = False, str(w)
-    if ok and _bernoulli_recurrence(200) != _bernoulli_akiyama_tanigawa(200):
+    if ok and _bernoulli_tangent(200) != _bernoulli_akiyama_tanigawa(200):
         ok, detail = False, "the two Bernoulli routes disagree through n=200"
     _finish(3, "exact invariant sweep: table identities, log-concavity, ratio"
                " bounds, positivity, first-coefficient identity, dual"

@@ -1,7 +1,7 @@
 import random
 import re
 from fractions import Fraction as F
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 import pytest
 
@@ -12,7 +12,7 @@ from zetacf.coeff_core import (
     CSequence,
     Witness,
     _bernoulli_akiyama_tanigawa,
-    _bernoulli_recurrence,
+    _bernoulli_tangent,
     a_invariant_witness,
     bernoulli_table,
     c1_identity_witness,
@@ -92,7 +92,11 @@ class TestBernoulli:
 
     def test_dual_method_agreement_200(self):
         # both routes, computed afresh: a cached table would prove nothing
-        assert _bernoulli_recurrence(200) == _bernoulli_akiyama_tanigawa(200)
+        assert _bernoulli_tangent(200) == _bernoulli_akiyama_tanigawa(200)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 61, 200])
+    def test_tangent_route_equals_tableau(self, n):
+        assert _bernoulli_tangent(n) == _bernoulli_akiyama_tanigawa(n)
 
     def test_disagreement_raises(self, monkeypatch):
         def perturbed(n_max):
@@ -113,7 +117,7 @@ class TestBernoulli:
         served = bernoulli_table(24)
         assert coeff_core._BERN.n_max == 60
         assert served == fresh
-        assert list(served.b) == _bernoulli_recurrence(24)
+        assert list(served.b) == _bernoulli_tangent(24)
 
     def test_f3_pole_terms(self):
         # the displayed F_3 terms force the sign convention:
@@ -348,6 +352,49 @@ class TestInvariantSweeps:
         assert c1_identity_witness(100) is None
 
 
+def _c1_identity_reference(m_max):
+    """The c1 sweep on reduced Fractions: the whole T-row of every m over its
+    own lcm, c_{m,1} reduced, and compared with the expected value."""
+    hs = coeff_core.harmonic_sums(m_max + 1)
+    next(hs)
+    next(hs)
+    for m, S in coeff_core.stirling_rows(m_max):
+        if m < 1:
+            continue
+        h_next = next(hs)
+        B = bernoulli_table(m)
+        even = [B[2 * j] for j in range(m // 2 + 1)]
+        L = lcm(*(b.denominator for b in even))
+        row = [S[2 * j] * (1 - 2 * j) * b.numerator * (L // b.denominator)
+               for j, b in enumerate(even)]
+        c1 = F((m + 1) * sum(row), factorial(m) * L)
+        expected = F(2 * (m + 1), m + 2) * h_next
+        if c1 != expected:
+            return Witness("c1-identity", m, 1, c1, expected)
+    return None
+
+
+class TestC1IdentityReference:
+    def test_both_pass_to_60(self):
+        for m_max in range(1, 61):  # L, the weights' lcm, grows with m_max
+            assert c1_identity_witness(m_max) is None
+            assert _c1_identity_reference(m_max) is None
+
+    def test_witness_equals_reference(self, monkeypatch):
+        sums = coeff_core.harmonic_sums
+
+        def perturbed(m_max):
+            for i, h in enumerate(sums(m_max)):
+                yield h + F(1, 10**9) if i == 18 else h
+
+        monkeypatch.setattr(coeff_core, "harmonic_sums", perturbed)
+        got, ref = c1_identity_witness(40), _c1_identity_reference(40)
+        assert got is not None and (got.check, got.m, got.index) == ("c1-identity", 17, 1)
+        assert (got.check, got.m, got.index, got.lhs, got.rhs) == (
+            ref.check, ref.m, ref.index, ref.lhs, ref.rhs)
+        assert str(got) == str(ref)
+
+
 def _row_witness_reference(m, S, fm, h, deep_roots):
     """The unfiltered row check: every level compared on the full products,
     Newton's inequality with its binomials, and Horner at every root."""
@@ -452,3 +499,62 @@ class TestRowWitnessReference:
         assert got == ref
         assert str(got) == "root-vanishing fails at m=5, index 5: 1/6 vs 0"
         assert got.lhs == F(coeff_core._row_eval_at_int(S, 5), S[0]) == F(24, 144)
+
+
+def _sweep_reference(m_max, deep_roots):
+    """`a_invariant_witness` with every row checked by the reference."""
+    fm = 1
+    for (m, S), h in zip(coeff_core.stirling_rows(m_max), harmonic_sums(m_max)):
+        fm *= max(m, 1)
+        witness = _row_witness_reference(m, S, fm, h, deep_roots)
+        if witness is not None:
+            return witness
+    return None
+
+
+def _add_signed(S, roots, low):
+    """S plus the signed row of t^low prod (r - t) over roots: m! p(t) gains
+    a polynomial vanishing at t = 0 to order low and at each root."""
+    p = Poly([0] * low + [1])
+    for r in roots:
+        p = p * Poly([r, -1])
+    return [s + (int(x) if j % 2 == 0 else -int(x))
+            for j, (s, x) in enumerate(zip(S, p.coeffs + (0,) * len(S)))]
+
+
+class TestDeflation:
+    def test_every_stirling_row_to_150(self):
+        prev = None
+        for m, S in coeff_core.stirling_rows(150):
+            if prev is not None:
+                assert coeff_core._deflates_to(S, prev)
+            prev = S
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 30])
+    def test_refuses_a_perturbed_row(self, m):
+        prev, S = coeff_core._stirling_row(m - 1), coeff_core._stirling_row(m)
+        for j in range(m + 1):
+            for d in (-1, 1):
+                bad = list(S)
+                bad[j] += d
+                assert not coeff_core._deflates_to(bad, prev)
+        assert not coeff_core._deflates_to([2 * s for s in S], prev)
+
+    @pytest.mark.parametrize("corrupt, k", [
+        # roots 1..4 kept, t^0 and t^1 untouched: the first non-root is 5
+        (lambda S: _add_signed(S, (1, 2, 3, 4), 2), 5),
+        # one middle entry off by one: p(1) = +-1/m!
+        (lambda S: S[:7] + [S[7] + 1] + S[8:], 1),
+    ])
+    def test_corrupted_row_mid_sweep(self, monkeypatch, corrupt, k):
+        rows = coeff_core.stirling_rows
+
+        def corrupted(m_max):
+            for m, S in rows(m_max):
+                yield m, corrupt(S) if m == 20 else S
+
+        monkeypatch.setattr(coeff_core, "stirling_rows", corrupted)
+        got = a_invariant_witness(40, deep_roots=True)
+        ref = _sweep_reference(40, deep_roots=True)
+        assert got == ref and (got.check, got.m, got.index) == ("root-vanishing", 20, k)
+        assert str(got) == str(ref)
