@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 from typing import Iterator
 
 from .errors import InternalConsistencyError
@@ -445,7 +445,8 @@ class SinhSeries:
     2 / H_N(1-z), H_N the n_terms-term truncation of H, are held as one
     integer row over one positive denominator: d[k] = num[k] / den. d[0] is
     exactly 2 divided by the truncated sum at u = 1. The denominator is
-    den = u^N, N = len(num), and u^(N-1-k) divides num[k].
+    den = u^N, N = len(num), u = g_0 of the content-free z-row
+    (`_sinh_z_row`), and u^(N-1-k) divides num[k].
     """
 
     r_squared: Fraction
@@ -466,11 +467,14 @@ class SinhSeries:
 
 
 def _sinh_z_row(r2: Fraction, N: int) -> tuple[list[int], int]:
-    """The integer z-row g of D H_N(1-z) and D = (2N)! q^(N-1), r^2 = p/q.
+    """The content-free integer z-row g of D H_N(1-z), and D, r^2 = p/q.
 
-    The terms h_i = D r^(2i) / (2i+2)! of D H_N(u) are integers, and so are
-    g_k = (-1)^k sum_{i>=k} C(i,k) h_i, the h-row shifted by 1
-    (`_taylor_shift`) with alternating signs. g_0 = D H_N(1) > 0."""
+    The terms (2N)! q^(N-1) r^(2i) / (2i+2)! are integers; D is (2N)! q^(N-1)
+    divided by their gcd c, so the terms h_i = D r^(2i) / (2i+2)! of D H_N(u)
+    are integers with gcd 1 (c divides h_0 = (2N)! q^(N-1) / 2, so D is an
+    integer). So are g_k = (-1)^k sum_{i>=k} C(i,k) h_i, the h-row shifted
+    by 1 (`_taylor_shift`) with alternating signs; the shift is invertible
+    over the integers, so gcd(g) = 1 too. g_0 = D H_N(1) > 0."""
     if r2 < 0:
         raise ValueError("r_squared must be >= 0")
     if N < 1:
@@ -478,8 +482,10 @@ def _sinh_z_row(r2: Fraction, N: int) -> tuple[list[int], int]:
     p, q = r2.numerator, r2.denominator
     f2N = factorial(2 * N)
     h = [f2N // factorial(2 * i + 2) * p**i * q ** (N - 1 - i) for i in range(N)]
+    c = gcd(*h)
+    h = [x // c for x in h]
     return ([x if k % 2 == 0 else -x for k, x in enumerate(_taylor_shift(h))],
-            f2N * q ** (N - 1))
+            f2N * q ** (N - 1) // c)
 
 
 def sinh_series(r_squared, n_terms: int) -> SinhSeries:

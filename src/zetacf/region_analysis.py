@@ -165,6 +165,11 @@ class _MarginContext:
     and the argmin candidates, ever compute them. The filter reads
     r_k = P_k / Q_k, rounded once to the nearest double (NaN where that is
     not a normal double, which sends those k to the exact test).
+
+    Both sides are homogeneous of degree 2 in each pair (P_j, Q_j), so the
+    exact test runs on the content-free pairs (P_j / g_j, Q_j / g_j),
+    g_j = gcd(P_j, Q_j) (`level`), which have the same |E_k|^2 and cut the
+    common factor (g_k g_{k+1})^2 out of every product.
     """
 
     def __init__(self, S: list[int]):
@@ -175,19 +180,15 @@ class _MarginContext:
         self.P = [0] + [(k + 1) * S[k] for k in range(1, m)]  # P[k], k = 1..m-1
         self.Q = [0] + S[:m - 1]  # Q[k] = S[k-1]
         self.r = [math.nan] + [normal_ratio(p, q) for p, q in zip(self.P[1:], self.Q[1:])]
-        self._gcd: dict[int, int] = {}  # gcd(P_j, Q_j), filled on demand
+        self._levels: dict[int, tuple[int, int, int]] = {}  # filled on demand
 
-    def exact_sq(self, k: int, num: int, den: int) -> Fraction:
-        """num/den, the exact pair of level k, in lowest terms.
-
-        g_j = gcd(P_j, Q_j) divides R_j and Q_j, so g_j^2 divides N_j; hence
-        (g_k g_{k+1})^2 divides num and den, and cancelling it first leaves
-        Fraction's gcd far smaller integers."""
-        for j in (k, k + 1):
-            if j not in self._gcd:
-                self._gcd[j] = math.gcd(self.P[j], self.Q[j])
-        c = (self._gcd[k] * self._gcd[k + 1]) ** 2
-        return Fraction(num // c, den // c)
+    def level(self, j: int) -> tuple[int, int, int]:
+        """(P_j / g_j, Q_j / g_j, g_j) with g_j = gcd(P_j, Q_j), built once."""
+        lv = self._levels.get(j)
+        if lv is None:
+            g = math.gcd(self.P[j], self.Q[j])
+            lv = self._levels[j] = (self.P[j] // g, self.Q[j] // g, g)
+        return lv
 
 
 @functools.lru_cache(maxsize=4)
@@ -227,27 +228,31 @@ def _point_margin(ctx: _MarginContext, sigma: Fraction, t: Fraction,
     fallback). The argmin is the first k of least exact |E_k|^2: floats only
     rule out the k that cannot hold it, and the rest are compared exactly.
 
-    Returns (all_pass, argmin_k, num, den, pole_adjacent, exact_fallbacks)
-    where num/den is |E_{argmin}|^2 as an exact integer pair. When want_min
-    is False, stops at the first failing k and reports that k instead, and
-    num and den are None; when every k passes argmin_k is None too.
+    Returns (all_pass, argmin_k, num, den, sq, pole_adjacent,
+    exact_fallbacks) where num/den is |E_{argmin}|^2 as the exact integer
+    pair of P and Q and sq is its value as a Fraction. Every comparison runs
+    on the content-free levels (`_MarginContext.level`); only the argmin's
+    pair is scaled back by (g_k g_{k+1})^2. When want_min is False, stops at
+    the first failing k and reports that k instead, and num, den and sq are
+    None; when every k passes argmin_k is None too.
     """
     sn, sd = sigma.numerator, sigma.denominator
     tn, td = t.numerator, t.denominator
     sd2td2 = sd * sd * td * td
     td2 = td * td
     tnsd2 = (tn * sd) ** 2
-    P, Q = ctx.P, ctx.Q
+    level = ctx.level
 
-    def N_of(k: int) -> int:
-        R = sd * P[k] + (k * sd + sn) * Q[k]
-        return R * R * td2 + tnsd2 * Q[k] * Q[k]
+    def N_of(k: int, p: int, q: int) -> int:
+        R = sd * p + (k * sd + sn) * q
+        return R * R * td2 + tnsd2 * q * q
 
     def W_of(k: int) -> int:
         return (k * sd + sn) ** 2 * td2 + tnsd2
 
     def pair(k: int) -> tuple[int, int]:
-        return 16 * N_of(k) * N_of(k + 1), 16 * sd2td2 * W_of(k) * (Q[k] * P[k + 1]) ** 2
+        (p0, q0, _), (p1, q1, _) = level(k), level(k + 1)
+        return 16 * N_of(k, p0, q0) * N_of(k + 1, p1, q1), 16 * sd2td2 * W_of(k) * (q0 * p1) ** 2
 
     poles = ()
     k = round(-sigma)  # the only k that can lie within 2^-20 of -s
@@ -272,9 +277,9 @@ def _point_margin(ctx: _MarginContext, sigma: Fraction, t: Fraction,
         if failed:
             all_pass = False
             if not want_min:
-                return False, k, None, None, poles, len(exact)
+                return False, k, None, None, None, poles, len(exact)
     if not want_min:
-        return True, None, None, None, poles, len(exact)
+        return True, None, None, None, None, poles, len(exact)
 
     # Each finite q_hat_k is within FILTER_REL q_hat_k of |E_k|^2, so `cut`,
     # the least upper end q_hat (1 + FILTER_REL) rounded up, is at least the
@@ -288,7 +293,9 @@ def _point_margin(ctx: _MarginContext, sigma: Fraction, t: Fraction,
         num, den = exact.get(k) or pair(k)
         if best is None or num * best[2] < best[1] * den:
             best = k, num, den
-    return (all_pass, *best, poles, len(exact))
+    k, num, den = best
+    c = (level(k)[2] * level(k + 1)[2]) ** 2
+    return all_pass, k, num * c, den * c, Fraction(num, den), poles, len(exact)
 
 
 def worpitzky_margin(m: int, s) -> MarginResult:
@@ -305,8 +312,8 @@ def worpitzky_margin(m: int, s) -> MarginResult:
     sigma, t = _rationalize_point(s)
     k_lo, k_hi = 1, m - 2
     found = _point_margin(ctx, sigma, t, k_lo, k_hi)
-    margin, margin_sq, k_min, passed = _margin_fields(ctx, found)
-    _, _, num, den, poles, fallbacks = found
+    margin, margin_sq, k_min, passed = _margin_fields(found)
+    _, _, num, den, _, poles, fallbacks = found
     return MarginResult(
         m=m, sigma=sigma, t=t, k_lo=k_lo, k_hi=k_hi,
         margin=margin, margin_sq=margin_sq, argmin_k=k_min, passed=passed,
@@ -316,13 +323,12 @@ def worpitzky_margin(m: int, s) -> MarginResult:
     )
 
 
-def _margin_fields(ctx: _MarginContext, found) -> tuple[float, Fraction, int, bool]:
+def _margin_fields(found) -> tuple[float, Fraction, int, bool]:
     """(margin, margin_sq, argmin_k, passed) from the tuple of `_point_margin`.
 
     Where the pair's int_ratio_float value is inf (|E_k|^2 >= 2^52), the
     root is taken from the exact |E_k|^2 instead."""
-    all_pass, k_min, num, den, *_ = found
-    q = ctx.exact_sq(k_min, num, den)
+    all_pass, k_min, num, den, q, *_ = found
     ratio = int_ratio_float(num, den)
     root = fraction_sqrt_float(q) if math.isinf(ratio) else math.sqrt(max(ratio, 0.0))
     return root - 4.0, q - 16, k_min, all_pass
@@ -396,7 +402,7 @@ def prop1_scan(m: int, grid: RegionGrid | None = None,
     fallbacks = 0
     for i, (sig, t) in enumerate(work):
         found = _point_margin(ctx, sig, t, k_lo, k_hi)
-        cache[(sig, t)] = PointMargin(sig, t, *_margin_fields(ctx, found))
+        cache[(sig, t)] = PointMargin(sig, t, *_margin_fields(found))
         fallbacks += found[-1]
         if progress is not None and ((i + 1) % 64 == 0 or i + 1 == len(work)):
             progress(i + 1, len(work))

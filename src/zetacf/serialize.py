@@ -113,6 +113,16 @@ def cf_trace_rows(evaluation):
 
 
 def worpitzky_payload(report) -> dict:
+    # mirrored points (sigma, -t) share the margin_sq object of (sigma, t),
+    # so each distinct one is formatted once
+    sq_strs: dict[int, str] = {}
+
+    def sq_str(q: Fraction) -> str:
+        s = sq_strs.get(id(q))
+        if s is None:
+            s = sq_strs[id(q)] = frac_str(q)
+        return s
+
     return {
         "schema": SCHEMA,
         "kind": "worpitzky_scan",
@@ -140,7 +150,7 @@ def worpitzky_payload(report) -> dict:
                 "sigma": frac_str(p.sigma),
                 "t": frac_str(p.t),
                 "margin": _finite(p.margin),
-                "margin_sq": frac_str(p.margin_sq),
+                "margin_sq": sq_str(p.margin_sq),
                 "argmin_k": p.argmin_k,
                 "pass": p.passed,
             }

@@ -371,6 +371,16 @@ class TestScan:
         rows = [l for l in lines if not l.startswith("#")][1:]
         assert len(rows) == 9 and all(r.endswith(",1") for r in rows)
 
+    def test_worpitzky_100_banded_report_pinned(self, capsys):
+        # with the band search on, the bytes pin the exact step of the grid
+        # and of the bisection, and the payload of mirrored points
+        args = ["scan", "worpitzky", "100", "--grid", "9x9"]
+        assert cli.main(args) == 0
+        report = capsys.readouterr().out
+        assert hashlib.sha256(report.encode()).hexdigest() == (
+            "a4385822c79c2e026dedf79f1b777ca458f63d1347ee0a8de9169b0e7e2a10d9")
+        assert json.loads(report)["t_empirical"] is not None
+
     def test_monotonicity_range(self, tmp_path):
         out = tmp_path / "m.json"
         code = cli.main(["--out", str(out), "scan", "monotonicity", "2..20"])

@@ -1,7 +1,7 @@
 import random
 import re
 from fractions import Fraction as F
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 
 import pytest
 
@@ -274,20 +274,32 @@ class TestSinhSeries:
                                     F(10**9, 7)])
     @pytest.mark.parametrize("n", [1, 2, 3, 60])
     def test_matches_power_sum_recurrence(self, r2, n):
-        # reference: the inverse recurrence as a sum over the powers g_j u^(j-1)
+        # reference: the inverse recurrence as a sum over the powers g_j u^(j-1),
+        # on the h-row and 2D divided by their content gcd(h) (the normal form)
         p, q = r2.numerator, r2.denominator
         f2N = factorial(2 * n)
         h = [f2N // factorial(2 * i + 2) * p**i * q ** (n - 1 - i) for i in range(n)]
-        g = [sum(comb(i, k) * h[i] for i in range(k, n)) * (-1) ** k for k in range(n)]
-        u = g[0]
-        gu = [0] + [g[j] * u ** (j - 1) for j in range(1, n)]
-        e = [1]
-        for k in range(1, n):
-            e.append(-sum(gu[j] * e[k - j] for j in range(1, k + 1)))
+
+        def row(h, two_D):
+            g = [sum(comb(i, k) * h[i] for i in range(k, n)) * (-1) ** k for k in range(n)]
+            u = g[0]
+            gu = [0] + [g[j] * u ** (j - 1) for j in range(1, n)]
+            e = [1]
+            for k in range(1, n):
+                e.append(-sum(gu[j] * e[k - j] for j in range(1, k + 1)))
+            return g, tuple(two_D * e[k] * u ** (n - 1 - k) for k in range(n)), u**n
+
         two_D = 2 * f2N * q ** (n - 1)
+        c = gcd(*h)
+        g, num, den = row([x // c for x in h], two_D // c)
         s = sinh_series(r2, n)
-        assert s.num == tuple(two_D * e[k] * u ** (n - 1 - k) for k in range(n))
-        assert s.den == u**n
+        assert s.num == num
+        assert s.den == den
+        assert coeff_core._sinh_z_row(r2, n) == (g, two_D // c // 2)
+        assert gcd(*g) == 1
+        # the un-reduced row gives the same d
+        _, num_full, den_full = row(h, two_D)
+        assert s.d == tuple(F(x, den_full) for x in num_full)
 
     @pytest.mark.parametrize("r2", [F(0), F(1, 4), F(1), F(3, 7), F(100), F(10000),
                                     F(10**9, 7)])

@@ -297,6 +297,34 @@ def test_far_out_argmin_is_first_exact_minimum():
     assert (r.argmin_k, r.margin) == (1, 74811609.04775213)
 
 
+class TestContentFreeLevels:
+    """The exact test runs on (P_k / g_k, Q_k / g_k), g_k = gcd(P_k, Q_k),
+    built only for the levels it reads."""
+
+    def test_scan_caches_few_levels(self):
+        ra._margin_context.cache_clear()
+        prop1_scan(300, default_strip_grid(300, 5, 5))
+        ctx = ra._margin_context(300)
+        assert 0 < len(ctx._levels) <= 8
+        for k, (p, q, g) in ctx._levels.items():
+            assert (p * g, q * g) == (ctx.P[k], ctx.Q[k])
+            assert math.gcd(p, q) == 1 and g > 0
+
+    @pytest.mark.parametrize("m, k_hi, n_strip", [(10, 8, 4), (100, 98, 4), (1000, 100, 1)])
+    def test_reduced_pairs_match_the_unreduced_oracle(self, m, k_hi, n_strip):
+        # the oracle reads the unreduced P and Q; _point_margin must return
+        # the same verdict, argmin and integer pair. At m = 1000 the levels
+        # stop at 100, where g_k still has 1736 of P_k's 8223 bits: the
+        # oracle reduces a Fraction per level, about 2 s a point on all 998
+        ctx = ra._margin_context(m)
+        points = [(p.re, p.im) for p in seeded_strip_points(m + 23, n_strip)]
+        points += [(F(1, 3), F(10 ** 6)), (F(1, 2), F(3 ** 20, 7))]
+        for sigma, t in points:
+            found = ra._point_margin(ctx, sigma, t, 1, k_hi)
+            assert found[:4] == _all_k_margin(ctx, sigma, t, 1, k_hi)
+            assert found[4] == F(found[2], found[3])
+
+
 class TestProp1Scan:
     def test_m10_small_grid_all_pass(self):
         rep = prop1_scan(10, default_strip_grid(10, 11, 11), bisect_band=False)
