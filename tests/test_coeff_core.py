@@ -280,26 +280,28 @@ class TestSinhSeries:
         f2N = factorial(2 * n)
         h = [f2N // factorial(2 * i + 2) * p**i * q ** (n - 1 - i) for i in range(n)]
 
-        def row(h, two_D):
+        def inverse(h):
             g = [sum(comb(i, k) * h[i] for i in range(k, n)) * (-1) ** k for k in range(n)]
             u = g[0]
             gu = [0] + [g[j] * u ** (j - 1) for j in range(1, n)]
             e = [1]
             for k in range(1, n):
                 e.append(-sum(gu[j] * e[k - j] for j in range(1, k + 1)))
-            return g, tuple(two_D * e[k] * u ** (n - 1 - k) for k in range(n)), u**n
+            return g, e, u
 
         two_D = 2 * f2N * q ** (n - 1)
         c = gcd(*h)
-        g, num, den = row([x // c for x in h], two_D // c)
+        g, e, u = inverse([x // c for x in h])
         s = sinh_series(r2, n)
-        assert s.num == num
-        assert s.den == den
+        assert s.num == tuple(two_D // c * e[k] * u ** (n - 1 - k) for k in range(n))
+        assert s.den == u**n
         assert coeff_core._sinh_z_row(r2, n) == (g, two_D // c // 2)
         assert gcd(*g) == 1
-        # the un-reduced row gives the same d
-        _, num_full, den_full = row(h, two_D)
-        assert s.d == tuple(F(x, den_full) for x in num_full)
+        # d_k = 2D e_k / u^(k+1) on the un-reduced row too (the same row when
+        # c = 1), compared by cross-multiplication
+        _, e, u = inverse(h) if c > 1 else (g, e, u)
+        assert all(x.numerator * u ** (k + 1) == two_D * e[k] * x.denominator
+                   for k, x in enumerate(s.d))
 
     @pytest.mark.parametrize("r2", [F(0), F(1, 4), F(1), F(3, 7), F(100), F(10000),
                                     F(10**9, 7)])
