@@ -25,7 +25,7 @@ from zetacf import (
     f_expansion,
     g_expansion,
 )
-from zetacf.serialize import cf_trace_rows, dump_csv, frac_str
+from zetacf.serialize import dump_csv, frac_str
 
 
 def show(title):
@@ -73,6 +73,7 @@ with mp.workprec(280):
 print("cross-check width against a 128-bit rerun:", got.cross_width)
 
 show("Convergent trace (the truncation behavior is observable)")
-ev = eval_cf(cf, F(1, 2), trace=True)
-rows = list(cf_trace_rows(ev))
+# the value at depth k is the (k+1)-th convergent
+values = [complex(eval_cf(cf, F(1, 2), depth=k).value) for k in range(cf.depth)]
+rows = [(k, z.real, z.imag, abs(z - values[-1])) for k, z in enumerate(values)]
 print(dump_csv(("depth", "re", "im", "abs_error_vs_full_depth"), rows).rstrip())

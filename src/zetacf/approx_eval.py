@@ -418,8 +418,6 @@ class ContinuedFraction:
 class CFEvaluation:
     value: object
     levels_used: int
-    convergents: tuple | None = None
-    denominators: tuple | None = None
     cross_width: float | None = None
 
 
@@ -536,17 +534,18 @@ def _mp_backward(values, prec: int) -> mp.mpc:
 
 
 def eval_cf(cf: ContinuedFraction, s, depth: int | None = None,
-            precision: int = 256, trace: bool = False) -> CFEvaluation:
+            precision: int = 256) -> CFEvaluation:
     """Evaluate by the backward recurrence from the deepest level.
 
     `depth` is the index of the deepest level included (0 means a single
-    level); None uses all of them. Exact when s is a Fraction or QComplex.
-    With trace=True the forward three-term recurrences are run as well and
-    the convergent values plus their denominators q_n are returned, so
-    truncation behavior is observable. The exact recurrence runs on the
-    integer levels, with each tail a content-reduced quotient of Gaussian
-    integers (`_cf_backward`), and the mpmath one on coefficients rounded
-    once per precision; both are computed on first use and kept on `cf`.
+    level); None uses all of them. The value at depth k is the (k+1)-th
+    convergent A_{k+1}/B_{k+1}, and B_{k+1} is the product of the tail
+    denominators met on the way up, so convergents are read as values at
+    each depth. Exact when s is a Fraction or QComplex. The exact
+    recurrence runs on the integer levels, with each tail a content-reduced
+    quotient of Gaussian integers (`_cf_backward`), and the mpmath one on
+    coefficients rounded once per precision; both are computed on first use
+    and kept on `cf`.
 
     Raises ZeroDenominatorError when a denominator vanishes exactly (the
     blow-up event the element test is designed to exclude).
@@ -563,13 +562,7 @@ def eval_cf(cf: ContinuedFraction, s, depth: int | None = None,
                                      *QComplex.from_value(s).gaussian())
         value = (QComplex(Fraction(p_re, q), Fraction(p_im, q)) if isinstance(s, QComplex)
                  else Fraction(p_re, q))
-        convergents = denominators = None
-        if trace:
-            convergents, denominators = _cf_forward(
-                [(lv.num(s), lv.den(s)) for lv in cf.levels[: depth + 1]])
-            if convergents[-1] != value:
-                raise InternalConsistencyError("forward and backward CF evaluations disagree")
-        return CFEvaluation(value, depth + 1, convergents, denominators)
+        return CFEvaluation(value, depth + 1)
 
     def values_at(prec):
         with mp.workprec(prec):
@@ -577,44 +570,12 @@ def eval_cf(cf: ContinuedFraction, s, depth: int | None = None,
         return _mp_values(cf._rounded_levels(prec)[: depth + 1], z, prec)
 
     prec = precision + 10
-    values = values_at(prec)
-    v = _mp_backward(values, prec)
+    v = _mp_backward(values_at(prec), prec)
     v128 = _mp_backward(values_at(128), 128)
     width = float(abs(v - v128))
     with mp.workprec(precision):
         cv = ComplexValue(+v.real, +v.imag, precision, width)
-    convergents = denominators = None
-    if trace:
-        with mp.workprec(prec):
-            convergents, denominators = _cf_forward(
-                [(mp.make_mpc(a), mp.make_mpc(b)) for a, b in values])
-    return CFEvaluation(cv, depth + 1, convergents, denominators, width)
-
-
-def _convergents(pairs):
-    """Yield (A_k, B_k), k = 1, 2, ..., for the continued fraction
-    a_1/(b_1 + a_2/(b_2 + ...)) given its (a_k, b_k) from the top, by the
-    three-term recurrence A_k = b_k A_{k-1} + a_k A_{k-2}, and the same for
-    B_k, from A_{-1} = 1, A_0 = 0, B_{-1} = 0, B_0 = 1. The values may be
-    numbers or truncated power series; A_k / B_k is the k-th convergent."""
-    A_prev2, A_prev, B_prev2, B_prev = 1, 0, 0, 1
-    for a, b in pairs:
-        A_prev2, A_prev = A_prev, b * A_prev + a * A_prev2
-        B_prev2, B_prev = B_prev, b * B_prev + a * B_prev2
-        yield A_prev, B_prev
-
-
-def _cf_forward(values):
-    """Convergent values and their denominators B_n, by the forward
-    recurrence of `_convergents` on the levels' (num(s), den(s))."""
-    convergents = []
-    denominators = []
-    for A, B in _convergents(values):
-        if not B:
-            raise ZeroDenominatorError(len(convergents))
-        convergents.append(A / B)
-        denominators.append(B)
-    return tuple(convergents), tuple(denominators)
+    return CFEvaluation(cv, depth + 1, width)
 
 
 # ---------------------------------------------------------------------------

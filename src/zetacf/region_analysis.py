@@ -27,7 +27,7 @@ from math import factorial
 
 import mpmath as mp
 
-from .approx_eval import _convergents, _pf_value_at_prec, _to_mpc, build_f, build_g
+from .approx_eval import _pf_value_at_prec, _to_mpc, build_f, build_g
 from .coeff_core import (
     _row_tops,
     _stirling_row,
@@ -764,6 +764,18 @@ class BinomialCfResult:
     passed: bool
     first_mismatch: int | None
     series: tuple[Poly, ...] = ()  # y-coefficients as polynomials in t
+
+
+def _convergents(pairs):
+    """Yield (A_k, B_k), k = 1, 2, ..., for a_1/(b_1 + a_2/(b_2 + ...)) given
+    its (a_k, b_k) from the top as truncated series, by the three-term
+    recurrence A_k = b_k A_{k-1} + a_k A_{k-2} (the same for B_k) from
+    A_{-1} = 1, A_0 = 0, B_{-1} = 0, B_0 = 1."""
+    A_prev2, A_prev, B_prev2, B_prev = 1, 0, 0, 1
+    for a, b in pairs:
+        A_prev2, A_prev = A_prev, b * A_prev + a * A_prev2
+        B_prev2, B_prev = B_prev, b * B_prev + a * B_prev2
+        yield A_prev, B_prev
 
 
 def _series_cf(levels, order: int) -> PowerSeries:

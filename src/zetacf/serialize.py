@@ -101,17 +101,6 @@ def worpitzky_rows(report):
         )
 
 
-def cf_trace_rows(evaluation):
-    """CSV rows for a convergent trace: depth, re, im, abs-error against the
-    full-depth value. Requires an evaluation produced with trace=True."""
-    if evaluation.convergents is None:
-        raise ValueError("evaluation carries no convergent trace (use trace=True)")
-    full = complex(evaluation.convergents[-1])
-    for depth, c in enumerate(evaluation.convergents):
-        z = complex(c)
-        yield depth, z.real, z.imag, abs(z - full)
-
-
 def worpitzky_payload(report) -> dict:
     # mirrored points (sigma, -t) share the margin_sq object of (sigma, t),
     # so each distinct one is formatted once

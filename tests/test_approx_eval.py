@@ -328,16 +328,18 @@ class TestEvalCf:
                 assert rel < mp.mpf(2) ** -200, (kind, rel)
 
     def test_convergent_trace_exact(self):
+        # the value at depth k is the (k+1)-th convergent A_{k+1}/B_{k+1}
         cf = euler_cf(g_expansion(9))
-        ev = eval_cf(cf, F(1, 2), trace=True)
-        assert len(ev.convergents) == cf.depth
-        assert ev.convergents[-1] == ev.value
-        assert all(q != 0 for q in ev.denominators)
+        values = tuple(eval_cf(cf, F(1, 2), depth=k).value for k in range(cf.depth))
+        convergents, denominators = reference_forward(cf.levels, F(1, 2))
+        assert values == convergents
+        assert values[-1] == eval_cf(cf, F(1, 2)).value
+        assert all(q != 0 for q in denominators)
 
     def test_convergents_converge_toward_full_depth(self):
         cf = euler_cf(g_expansion(15))
-        ev = eval_cf(cf, F(1, 2), trace=True)
-        errs = [abs(c - ev.value) for c in ev.convergents[:-1]]
+        values = [eval_cf(cf, F(1, 2), depth=k).value for k in range(cf.depth)]
+        errs = [abs(c - values[-1]) for c in values[:-1]]
         # truncation error shrinks overall: last partial error far below first
         assert errs[-1] < errs[0] / 10**6
 
@@ -429,6 +431,7 @@ class TestEvalCfReference:
         cf = euler_cf((g_expansion if kind == "G" else f_expansion)(m))
         depths = range(cf.depth) if m <= 12 else sorted({0, cf.depth // 2, cf.depth - 1})
         for s in self.points(m):
+            values = []
             for depth in depths:
                 levels = cf.levels[:depth + 1]
                 want = reference_backward(levels, s)
@@ -436,10 +439,10 @@ class TestEvalCfReference:
                 assert ev.value == want and type(ev.value) is type(want), (s, depth)
                 assert ev.levels_used == depth + 1
                 assert_lowest_terms(cf, s, depth)
-                if m <= 12 or depth == 0:
-                    tr = eval_cf(cf, s, depth=depth, trace=True)
-                    assert tr.value == want
-                    assert (tr.convergents, tr.denominators) == reference_forward(levels, s)
+                values.append(ev.value)
+            if m <= 12:
+                # the values at every depth are the convergents
+                assert tuple(values) == reference_forward(cf.levels, s)[0], s
 
     @pytest.mark.parametrize("kind, m", CASES)
     @pytest.mark.parametrize("precision", [128, 266])
@@ -451,15 +454,10 @@ class TestEvalCfReference:
                        mp.mpf(s.im.numerator) / s.im.denominator)
             for depth in depths:
                 levels = cf.levels[:depth + 1]
-                ev = eval_cf(cf, z, depth=depth, precision=precision, trace=m <= 12)
+                ev = eval_cf(cf, z, depth=depth, precision=precision)
                 re, im, width = reference_mp(levels, z, precision)
                 assert (ev.value.real._mpf_, ev.value.imaginary._mpf_) == (re, im), (z, depth)
                 assert ev.cross_width == ev.value.cross_width == width
-                if m <= 12:
-                    with mp.workprec(precision + 10):
-                        conv, dens = reference_forward(levels, mp.mpc(z))
-                    assert [c._mpc_ for c in ev.convergents] == [c._mpc_ for c in conv]
-                    assert [d._mpc_ for d in ev.denominators] == [d._mpc_ for d in dens]
 
     @pytest.mark.parametrize("depth", range(len(CRAFTED)))
     def test_crafted_integer_levels(self, depth):
@@ -474,7 +472,7 @@ class TestEvalCfReference:
             got = eval_cf(cf, s, depth=depth)
             assert got.value == want and type(got.value) is type(want), (s, depth)
             assert reference_forward(int_levels, s)[0] == reference_forward(levels, s)[0]
-            assert eval_cf(cf, s, depth=depth, trace=True).convergents == \
+            assert tuple(eval_cf(cf, s, depth=k).value for k in range(depth + 1)) == \
                 reference_forward(levels, s)[0]
         for s in self.points(7)[:4]:
             z = mp.mpc(mp.mpf(s.re.numerator) / s.re.denominator,
