@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb, factorial, gcd, lcm
+from operator import add, rshift
 from typing import Iterator
 
 from .errors import InternalConsistencyError
@@ -152,17 +153,13 @@ def _row_tops(S: list[int]) -> tuple[list[int], list[int], list[int]] | None:
     e_j = 0, so that t_j 2^e_j <= S[j] <= u_j 2^e_j.
 
     None when an entry is not positive: a shift floors a negative int, and
-    squaring a negative lower end bounds nothing."""
-    t, u, e = [], [], []
-    for s in S:
-        if s <= 0:
-            return None
-        ej = max(s.bit_length() - _TOP_BITS, 0)
-        tj = s >> ej
-        t.append(tj)
-        u.append(tj + 1 if ej else tj)
-        e.append(ej)
-    return t, u, e
+    squaring a negative lower end bounds nothing. Each list is one pass at
+    C level (bit lengths, shifts, the e_j > 0 carry)."""
+    if min(S, default=1) <= 0:
+        return None
+    e = [b - _TOP_BITS if b > _TOP_BITS else 0 for b in map(int.bit_length, S)]
+    t = list(map(rshift, S, e))
+    return t, list(map(add, t, map(bool, e))), e
 
 
 def _tops_prove(tops: tuple[list[int], list[int], list[int]], j: int,
@@ -340,9 +337,8 @@ def _taylor_shift(a: list[int]) -> list[int]:
     return a
 
 
-def _c_row(m: int, S: list[int]) -> CSequence:
+def _c_row(m: int, T: list[int], D: int) -> CSequence:
     # D c_{m,k} = (m+1)(-1)^(k-1) sum_j T_j C(j, k-1): the T-row shifted by 1
-    T, D = _t_row(m, S)
     return CSequence(m, (D, *((m + 1) * (t if i % 2 == 0 else -t)
                               for i, t in enumerate(_taylor_shift(T)))), D)
 
@@ -352,15 +348,28 @@ def c_direct(m: int) -> CSequence:
     with c_{m,0} = 1. Binomials with k-1 > j vanish, which terminates the sum."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    return _c_row(m, _stirling_row(m))
+    return _c_row(m, *_t_row(m, _stirling_row(m)))
 
 
 def c_sequences(m_max: int) -> Iterator[CSequence]:
-    """Yield c-sequences for m = 1..m_max, sharing one coefficient-row sweep."""
-    bernoulli_table(m_max)  # the sweep's largest table, once; each row reads a prefix
+    """Yield c-sequences for m = 1..m_max, sharing one coefficient-row sweep
+    and one set of weights.
+
+    w and L come from `_t_weights(m_max)`, formed once. Row m needs the
+    weights over L_m, the lcm of den B_{2j} for j <= m/2, which divides L:
+    w_j // (L // L_m) is exact, and D = m! L_m, so every row equals
+    `c_direct`'s."""
+    w, L = _t_weights(m_max)
+    B = bernoulli_table(m_max)
+    Lm = fm = 1
     for m, S in stirling_rows(m_max):
-        if m >= 1:
-            yield _c_row(m, S)
+        if m < 1:
+            continue
+        fm *= m
+        if m % 2 == 0:
+            Lm = lcm(Lm, B[m].denominator)
+        r = L // Lm
+        yield _c_row(m, [S[2 * j] * (w[j] // r) for j in range(m // 2 + 1)], fm * Lm)
 
 
 def c_residue_oracle(m: int) -> CSequence:
@@ -650,28 +659,54 @@ def c_positivity_witness(m_max: int) -> Witness | None:
     return None
 
 
+def _transposed_sums(x: list[int]) -> Iterator[tuple[int, list[int]]]:
+    """Yield (m, F_m) for m = 0..n, n = len(x) - 1, where
+    F_m[s] = sum_i S_m[i] x_{i+s} for s = 0..n-m and S_m is the integer row
+    m! a_{m,.} (`stirling_rows`), so F_m[0] is the row's dot product with x.
+
+    Transposing the row recurrence S_m[i] = m S_{m-1}[i] + S_{m-1}[i-1]
+    gives F_m[s] = m F_{m-1}[s] + F_{m-1}[s+1], from F_0 = x: one
+    small-by-big product per entry, updated in place, and the last entry,
+    which would read x beyond x_n, is dropped. The yielded list is the one
+    the next step updates."""
+    F = list(x)
+    yield 0, F
+    for m in range(1, len(x)):
+        for s in range(len(F) - 1):
+            F[s] = m * F[s] + F[s + 1]
+        F.pop()
+        yield m, F
+
+
 def c1_identity_witness(m_max: int) -> Witness | None:
     """Observed identity c_{m,1} = 2(m+1)/(m+2) h_{m+1}, checked exactly.
 
     Verified as a numerical observation, not assumed anywhere else.
     c_{m,1} = (m+1) sum_j T_j is one weighted sum of the row: with the
     weights w_j = (1-2j) B_{2j} L of the sweep's largest table, formed once,
-    c_{m,1} = top / (m! L) with top = (m+1) sum_j S[2j] w_j. Each row is
-    compared by cross-multiplication; only a witness reduces the Fraction.
+    c_{m,1} = top / (m! L) with top = (m+1) sum_j S_m[2j] w_j. No row is
+    built: with x_i = w_{i/2} for even i and 0 for odd i, the sum is
+    sum_i S_m[i] x_i = F_m[0] of `_transposed_sums`, the Stirling recurrence
+    transposed (Tellegen's principle; Bostan, Lecerf & Schost, ISSAC 2003),
+    which carries F_m[s] = sum_i S_m[i] x_{i+s} from m - 1 to m with
+    m_max - m small-by-big products instead of m/2 big-by-big ones. Each row
+    is compared by cross-multiplication; only a witness reduces the Fraction.
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     w, L = _t_weights(m_max)
+    x = [0] * (m_max + 1)
+    x[::2] = w
     hs = harmonic_sums(m_max + 1)
     next(hs)  # h_0
     next(hs)  # h_1
     fm = 1
-    for m, S in stirling_rows(m_max):
+    for m, F in _transposed_sums(x):
         if m < 1:
             continue
         fm *= m
         h_next = next(hs)  # h_{m+1}
-        top = (m + 1) * sum(S[2 * j] * w[j] for j in range(m // 2 + 1))
+        top = (m + 1) * F[0]
         expected = Fraction(2 * (m + 1), m + 2) * h_next
         if top * expected.denominator != expected.numerator * fm * L:
             return Witness("c1-identity", m, 1, Fraction(top, fm * L), expected)

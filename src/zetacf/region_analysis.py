@@ -493,9 +493,26 @@ def real_line_margin_check(m_max: int, sigmas=(Fraction(1, 2),)) -> tuple[int, F
     every k and every 3 <= m <= m_max. Returns the first failure (m, sigma,
     k) or None.
 
-    Each m runs the filtered element test at t = 0, with the exact integer
-    comparison for every level the filter cannot decide, over a context
-    built from the streamed row (so the cached strip contexts stay put).
+    The test for m reads row n = m - 1, S = n! a_{n,.}, at the levels
+    k = 1..n-1: v_k = (k+1) S_k / ((k+sigma) S_{k-1}). Where the row is
+    positive and log-concave, S_k^2 >= S_{k-1} S_{k+1}, every level passes
+    at every real sigma in (0, 1]:
+
+        v_k / v_{k+1} = (k+1)(k+1+sigma) S_k^2 / ((k+2)(k+sigma) S_{k-1} S_{k+1}) >= 1,
+
+    since (k+1)(k+1+sigma) - (k+2)(k+sigma) = 1 - sigma >= 0, and then, by
+    AM-GM on v_k + 1/v_{k+1} (Hardy, Littlewood & Polya, Inequalities,
+    2.22), (1+v_k)(1+1/v_{k+1}) >= (1 + sqrt(v_k/v_{k+1}))^2 >= 4.
+
+    So each row first asks its 62-bit tops (`_tops_prove(tops, k, 1, 1)`)
+    for log-concavity at every level, once for all sigmas. A row with an
+    entry that is not positive, or a level the tops leave undecided, runs
+    the filtered element test at t = 0 for each sigma in order, with the
+    exact integer comparison for every level the filter cannot decide, over
+    a context built from the streamed row (so the cached strip contexts stay
+    put). A row the tops prove has no failure, so the first failure is the
+    one that sweep finds. No pole check is lost: round(-sigma) is 0 or -1,
+    never a level in 1..m-2.
     """
     # converted exactly, as a point is for `worpitzky_margin`, and kept: the
     # sigmas are read twice, checked here and swept per m below
@@ -507,6 +524,9 @@ def real_line_margin_check(m_max: int, sigmas=(Fraction(1, 2),)) -> tuple[int, F
         raise ValueError("need m_max >= 3 and one or more sigmas, each in (0, 1)")
     for n, S in stirling_rows(m_max - 1):
         if n < 2:
+            continue
+        tops = _row_tops(S)
+        if tops is not None and all(_tops_prove(tops, k, 1, 1) for k in range(1, n)):
             continue
         ctx = _MarginContext(S)  # the element test for m = n + 1 reads row n
         for sigma in sigmas:

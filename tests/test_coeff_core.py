@@ -185,6 +185,14 @@ class TestCSequence:
         assert seq.c == tuple(F(v, seq.den) for v in seq.num) == tuple(c_bruteforce(m, bern520))
         assert seq.c is seq.c  # built once
 
+    @pytest.mark.parametrize("m_max", [1, 2, 7, 61, 200])
+    def test_shared_weights_give_each_rows_own_denominator(self, m_max):
+        # the sweep rescales the weights of its largest table per row; every
+        # row must equal the one built from that row's own table
+        want = [coeff_core._c_row(m, *coeff_core._t_row(m, S))
+                for m, S in coeff_core.stirling_rows(m_max) if m >= 1]
+        assert list(c_sequences(m_max)) == want
+
     def test_taylor_shift_is_the_binomial_sum(self):
         a = [5, -3, 0, 7, 2, -11, 4]
         want = [sum(comb(j, i) * a[j] for j in range(i, len(a))) for i in range(len(a))]
@@ -386,6 +394,68 @@ def _c1_identity_reference(m_max):
         if c1 != expected:
             return Witness("c1-identity", m, 1, c1, expected)
     return None
+
+
+def _row_tops_reference(S):
+    """The per-entry loop: one entry at a time, None at the first entry
+    that is not positive."""
+    t, u, e = [], [], []
+    for s in S:
+        if s <= 0:
+            return None
+        ej = max(s.bit_length() - 62, 0)
+        t.append(s >> ej)
+        u.append((s >> ej) + 1 if ej else s >> ej)
+        e.append(ej)
+    return t, u, e
+
+
+class TestRowTops:
+    def test_stirling_rows_equal_the_loop(self):
+        for m, S in coeff_core.stirling_rows(200):
+            assert coeff_core._row_tops(S) == _row_tops_reference(S)
+
+    @pytest.mark.parametrize("S", [
+        [1],
+        [1, 2 ** 60 + 5, 2 ** 61 - 1, 2 ** 61, 2 ** 62 - 1, 2 ** 62, 2 ** 63 - 1, 7],
+        [2 ** 62 + 1, 1, 2 ** 63 - 1, 3 ** 40, 2 ** 200 + 3],
+        [],
+    ])
+    def test_crafted_rows_equal_the_loop(self, S):
+        # entries of 1, 61, 62 and 63 bits (and more): e_j = 0 up to 62 bits
+        got = coeff_core._row_tops(S)
+        assert got == _row_tops_reference(S)
+        assert all(type(v) is int for part in got for v in part)
+        assert all(t * 2 ** e <= s <= u * 2 ** e for s, t, u, e in zip(S, *got))
+
+    @pytest.mark.parametrize("S", [[6, 11, 0, 1], [6, 11, -6, 1], [0], [-2 ** 70, 5]])
+    def test_entry_not_positive_gives_none(self, S):
+        assert coeff_core._row_tops(S) is None is _row_tops_reference(S)
+
+
+class TestTransposedSweep:
+    @staticmethod
+    def _x(n):
+        w, L = coeff_core._t_weights(n)
+        x = [0] * (n + 1)
+        x[::2] = w
+        return w, x
+
+    def test_carried_sums_equal_the_rows_dot_products(self):
+        n = 150
+        w, x = self._x(n)
+        sums = coeff_core._transposed_sums(x)
+        for (m, S), (m2, F_m) in zip(coeff_core.stirling_rows(n), sums):
+            assert m2 == m
+            assert F_m[0] == sum(S[2 * j] * w[j] for j in range(m // 2 + 1))
+            # the whole carried vector, shifted dot products of the row
+            assert F_m == [sum(S[i] * x[i + s] for i in range(m + 1)) for s in range(n - m + 1)]
+        assert next(sums, None) is None
+
+    def test_small_vector_by_hand(self):
+        # S_1 = [1, 1], S_2 = [2, 3, 1]
+        got = [(m, list(F_m)) for m, F_m in coeff_core._transposed_sums([5, 7, 11])]
+        assert got == [(0, [5, 7, 11]), (1, [5 + 7, 7 + 11]), (2, [2 * 5 + 3 * 7 + 11])]
 
 
 class TestC1IdentityReference:

@@ -411,8 +411,10 @@ class TestRealLineSweep:
             real_line_margin_check(m_max, sigmas=sigmas)
 
     def test_float_sigma_is_converted_exactly(self, monkeypatch):
-        # 0.5 is the dyadic 1/2: the sweep sees the same Fraction
+        # 0.5 is the dyadic 1/2: the sweep sees the same Fraction; with no
+        # tops, every row runs the element test at each sigma
         seen = []
+        monkeypatch.setattr(ra, "_row_tops", lambda S: None)
         monkeypatch.setattr(ra, "_point_margin", lambda ctx, sigma, *a, **k: (
             seen.append(sigma) or (True, None)))
         assert real_line_margin_check(10, sigmas=(0.5,)) is None
@@ -429,10 +431,114 @@ class TestRealLineSweep:
     def test_sigmas_from_an_iterator_are_swept(self, monkeypatch):
         # the check must not use up the sigmas before the sweep reads them
         seen = []
+        monkeypatch.setattr(ra, "_row_tops", lambda S: None)
         monkeypatch.setattr(ra, "_point_margin", lambda ctx, sigma, *a, **k: (
             seen.append((ctx.m, sigma)) or (True, None)))
         assert real_line_margin_check(6, sigmas=iter([F(1, 3), F(1, 2)])) is None
         assert seen == [(m, s) for m in (3, 4, 5, 6) for s in (F(1, 3), F(1, 2))]
+
+    SIGMAS = (F(1, 7), F(1, 2), F(6, 7), F(999, 1000))
+
+    def test_tops_route_equals_the_exact_route(self, monkeypatch):
+        # every row m <= 80 is proved log-concave by its tops, and the
+        # element test passes there at every sigma, level by level
+        for n, S in stirling_rows(79):
+            if n < 2:
+                continue
+            tops = ra._row_tops(S)
+            assert all(ra._tops_prove(tops, k, 1, 1) for k in range(1, n))
+            ctx = ra._MarginContext(S)
+            for sigma in self.SIGMAS:
+                assert ra._point_margin(ctx, sigma, F(0), 1, n - 1, want_min=False)[:2] == (
+                    True, None)
+        got = [real_line_margin_check(m, self.SIGMAS) for m in range(3, 81)]
+        monkeypatch.setattr(ra, "_row_tops", lambda S: None)
+        assert got == [real_line_margin_check(m, self.SIGMAS) for m in range(3, 81)]
+
+    @staticmethod
+    def _rows_with(monkeypatch, crafted):
+        """Patch ra.stirling_rows to stream the true rows, then `crafted` as
+        the row n = len(crafted) - 1."""
+        n_crafted = len(crafted) - 1
+
+        def rows(m_max):
+            for n, S in stirling_rows(min(m_max, n_crafted - 1)):
+                yield n, S
+            if m_max >= n_crafted:
+                yield n_crafted, list(crafted)
+
+        monkeypatch.setattr(ra, "stirling_rows", rows)
+
+    @pytest.mark.parametrize("j", [1, 10, 19])
+    def test_crafted_failing_row_gives_the_exact_witness(self, monkeypatch, j):
+        # S_j = 1 in row 20 breaks log-concavity at j only, and |E_j| < 4:
+        # v_j is tiny and v_{j+1} is not; the first level, a middle one and
+        # the last (m = 21 tests k = 1..19)
+        S = next(S for n, S in stirling_rows(20) if n == 20)
+        S[j] = 1
+        tops = ra._row_tops(S)
+        assert [k for k in range(1, 20) if not ra._tops_prove(tops, k, 1, 1)] == [j]
+        ctx = ra._MarginContext(S)
+        ok, k, *_ = ra._point_margin(ctx, self.SIGMAS[0], F(0), 1, ctx.m - 2, want_min=False)
+        assert (ok, k) == (False, j)
+        self._rows_with(monkeypatch, S)
+        assert real_line_margin_check(30, self.SIGMAS) == (21, self.SIGMAS[0], j)
+
+    def test_crafted_short_row_gives_the_first_sigma(self, monkeypatch):
+        # m = 4 fails at k = 1 for every sigma: the first (sigma, k) in sweep
+        # order, as _point_margin finds them
+        row = [100, 1, 100, 1]
+        self._rows_with(monkeypatch, row)
+        ctx = ra._MarginContext(row)
+        expected = next((ctx.m, sigma, found[1]) for sigma in self.SIGMAS
+                        if not (found := ra._point_margin(ctx, sigma, F(0), 1, 2,
+                                                          want_min=False))[0])
+        assert real_line_margin_check(10, self.SIGMAS) == expected == (4, F(1, 7), 1)
+
+    def test_crafted_passing_row_returns_none(self, monkeypatch):
+        # S_10 just below sqrt(S_9 S_11) misses log-concavity at 10 by a
+        # little, so the tops cannot prove that level; the element test still
+        # passes, as (k+1)(k+1+sigma) > (k+2)(k+sigma) for sigma < 1
+        S = next(S for n, S in stirling_rows(20) if n == 20)
+        S[10] = math.isqrt(S[9] * S[11]) - 1
+        assert S[10] ** 2 < S[9] * S[11]
+        assert not ra._tops_prove(ra._row_tops(S), 10, 1, 1)
+        built = []
+        context = ra._MarginContext
+        monkeypatch.setattr(ra, "_MarginContext", lambda row: built.append(len(row)) or context(row))
+        self._rows_with(monkeypatch, S)
+        assert real_line_margin_check(21, self.SIGMAS) is None
+        assert built == [21]  # only the crafted row ran the element test
+
+    def test_no_context_at_one_half_to_1000(self, monkeypatch):
+        # the tops prove every row log-concave: no row runs the element test
+        def refuse(S):
+            raise AssertionError(f"a context was built for m = {len(S)}")
+
+        monkeypatch.setattr(ra, "_MarginContext", refuse)
+        assert real_line_margin_check(1000) is None
+
+    def test_log_concave_levels_pass_exactly(self):
+        # the lemma, checked rather than assumed: at every level k with
+        # S_k^2 >= S_{k-1} S_{k+1}, the exact |E_k|^2 at real sigma is >= 16,
+        # on Stirling rows, geometric rows (equality at every level) and
+        # seeded positive rows with mixed levels
+        rng = random.Random(2025)
+        rows = [S for n, S in stirling_rows(59) if n >= 2]
+        rows += [[1] * 20, [3 ** i for i in range(20)], [5 ** (19 - i) for i in range(20)]]
+        rows += [[rng.randint(1, 2 ** rng.choice((3, 20, 70))) for _ in range(rng.randint(3, 30))]
+                 for _ in range(150)]
+        concave = levels = 0
+        for S in rows:
+            ctx = ra._MarginContext(S)
+            for _ in range(3):
+                sigma = F(rng.randint(1, 999), 1000)
+                for k, num, den in _exact_pairs(ctx, sigma, F(0), 1, ctx.m - 2):
+                    levels += 1
+                    if S[k] * S[k] >= S[k - 1] * S[k + 1]:
+                        concave += 1
+                        assert num >= 16 * den, (S, sigma, k)
+        assert 5000 < concave < levels  # both kinds of level were met
 
     def test_streamed_rows_give_the_cached_contexts(self):
         # the sweep builds each context from the row stirling_rows streams
