@@ -153,8 +153,8 @@ def _row_tops(S: list[int]) -> tuple[list[int], list[int], list[int]] | None:
     e_j = 0, so that t_j 2^e_j <= S[j] <= u_j 2^e_j.
 
     None when an entry is not positive: a shift floors a negative int, and
-    squaring a negative lower end bounds nothing. Each list is one pass at
-    C level (bit lengths, shifts, the e_j > 0 carry)."""
+    squaring a negative lower end bounds nothing. The lists come from
+    C-level maps over the row (bit lengths, shifts, the e_j > 0 carry)."""
     if min(S, default=1) <= 0:
         return None
     e = [b - _TOP_BITS if b > _TOP_BITS else 0 for b in map(int.bit_length, S)]

@@ -10,8 +10,9 @@ settles each level whose squared modulus is clearly above or below 16, and
 the exact integer comparison settles every level it cannot. Floats only
 filter: the argmin is chosen by exact comparison among the levels the filter
 cannot rule out, and the squared margin is exact. One routine runs that
-test for single points, strip scans, the band search and the real-line
-sweep, all in one process. Otherwise floating
+test for single points, strip scans, the band search and the rows of the
+real-line sweep that row log-concavity does not settle, all in one process.
+Otherwise floating
 point appears only in reported margin values (with a derived error bound)
 and in the convergence probe, whose reference is an independently computed
 accelerated alternating series.

@@ -434,16 +434,11 @@ class TestRowTops:
 
 
 class TestTransposedSweep:
-    @staticmethod
-    def _x(n):
-        w, L = coeff_core._t_weights(n)
-        x = [0] * (n + 1)
-        x[::2] = w
-        return w, x
-
     def test_carried_sums_equal_the_rows_dot_products(self):
         n = 150
-        w, x = self._x(n)
+        w, _ = coeff_core._t_weights(n)
+        x = [0] * (n + 1)
+        x[::2] = w
         sums = coeff_core._transposed_sums(x)
         for (m, S), (m2, F_m) in zip(coeff_core.stirling_rows(n), sums):
             assert m2 == m
@@ -451,11 +446,6 @@ class TestTransposedSweep:
             # the whole carried vector, shifted dot products of the row
             assert F_m == [sum(S[i] * x[i + s] for i in range(m + 1)) for s in range(n - m + 1)]
         assert next(sums, None) is None
-
-    def test_small_vector_by_hand(self):
-        # S_1 = [1, 1], S_2 = [2, 3, 1]
-        got = [(m, list(F_m)) for m, F_m in coeff_core._transposed_sums([5, 7, 11])]
-        assert got == [(0, [5, 7, 11]), (1, [5 + 7, 7 + 11]), (2, [2 * 5 + 3 * 7 + 11])]
 
 
 class TestC1IdentityReference:
