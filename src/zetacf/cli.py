@@ -352,9 +352,12 @@ def _cmd_scan_worpitzky(args, cfg: RunConfig, argv: list[str], parser) -> int:
     sys.stderr.write(f"scan worpitzky: {len(report.points)} points, {report.k_levels} "
                      f"k-levels, {report.exact_fallbacks} exact fallbacks\n")
     payload = worpitzky_payload(report)
-    cols = ("sigma_num", "sigma_den", "t_num", "t_den",
-            "margin_sq_num", "margin_sq_den", "pass")
-    _emit(cfg, "scan worpitzky", argv, payload, (cols, list(worpitzky_rows(report))))
+    csv_data = None
+    if cfg.format == "csv":
+        cols = ("sigma_num", "sigma_den", "t_num", "t_den",
+                "margin_sq_num", "margin_sq_den", "pass")
+        csv_data = (cols, list(worpitzky_rows(report)))
+    _emit(cfg, "scan worpitzky", argv, payload, csv_data)
     return EXIT_PASS if report.all_pass else EXIT_FAIL
 
 

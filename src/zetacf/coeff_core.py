@@ -445,6 +445,14 @@ def c_genfunc_oracle(m_max: int) -> tuple[tuple[Fraction, ...], ...]:
 # ---------------------------------------------------------------------------
 
 
+def _coprime_fraction(n: int, d: int) -> Fraction:
+    """n/d for coprime n and d > 0, built without Fraction's own gcd (the
+    constructor for coprime parts is private, and differs by Python version)."""
+    if hasattr(Fraction, "_from_coprime_ints"):  # Python 3.12 on
+        return Fraction._from_coprime_ints(n, d)
+    return Fraction(n, d, _normalize=False)
+
+
 @dataclass(frozen=True)
 class SinhSeries:
     """Exact z-expansion coefficients of the truncated sinh kernel.
@@ -465,14 +473,28 @@ class SinhSeries:
 
     @property
     def d(self) -> tuple[Fraction, ...]:
-        """The coefficients as reduced Fractions, d[k] reduced as
-        (num[k] / u^(N-1-k)) / u^(k+1), against u^(k+1) instead of u^N."""
+        """The coefficients as reduced Fractions, d[k] = x / u^(k+1) with
+        x = num[k] / u^(N-1-k).
+
+        Any common factor of x and u^(k+1) divides a power of u, so each of
+        its primes divides g = gcd(x, u): dividing out g, then the part of g
+        still common to both, until none is left, reduces the pair exactly,
+        with gcds against u instead of all of u^(k+1)."""
+        u = self.u
         powers = [1]  # u^0 .. u^N
         for _ in self.num:
-            powers.append(powers[-1] * self.u)
+            powers.append(powers[-1] * u)
         N = len(self.num)
-        return tuple(Fraction(n // powers[N - 1 - k], powers[k + 1])
-                     for k, n in enumerate(self.num))
+        out = []
+        for k, n in enumerate(self.num):
+            x, den = n // powers[N - 1 - k], powers[k + 1]
+            g = gcd(x % u, u)
+            while g > 1:
+                x //= g
+                den //= g
+                g = gcd(g, x % g, den % g)
+            out.append(_coprime_fraction(x, den))
+        return tuple(out)
 
 
 def _sinh_z_row(r2: Fraction, N: int) -> tuple[list[int], int]:

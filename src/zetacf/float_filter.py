@@ -76,22 +76,28 @@ def normal_ratio(p: int, q: int) -> float:
     return r if sys.float_info.min <= r < math.inf else math.nan
 
 
-def filter_values(r: list[float], sigma: Fraction, t: Fraction,
-                  k_lo: int, k_hi: int) -> list[float]:
-    """q_hat_k for k in [k_lo, k_hi], from r[k_lo .. k_hi + 1]:
-    |q_hat_k - q_k| <= FILTER_REL * q_hat_k wherever q_hat_k is finite.
-    NaN marks a k the filter cannot judge; that is every k when sigma < 0 or
-    when sigma or t is not zero or a normal double."""
-    n = k_hi - k_lo + 1
+def filter_point(sigma: Fraction, t: Fraction, j_max: int) -> tuple[float, float] | None:
+    """(sigma, |t|) as doubles where the filter models s = sigma + i t at
+    every j <= j_max, else None: sigma >= 0, both zero or normal doubles,
+    and (j_max + sigma)^2 + t^2 finite in doubles."""
     try:
         s, tt = float(sigma), float(abs(t))
     except OverflowError:
-        return [math.nan] * n
-    t2 = tt * tt
-    x_top = (k_hi + 1) + s
+        return None
+    x_top = j_max + s
     if sigma < 0 or not (_zero_or_normal(s) and _zero_or_normal(tt)) \
-            or not math.isfinite(x_top * x_top + t2):
-        return [math.nan] * n
+            or not math.isfinite(x_top * x_top + tt * tt):
+        return None
+    return s, tt
+
+
+def filter_levels(r: list[float], point: tuple[float, float],
+                  k_lo: int, k_hi: int) -> list[float]:
+    """q_hat_k for k in [k_lo, k_hi], from r[k_lo .. k_hi + 1], at a point
+    from `filter_point` with j_max >= k_hi + 1. Each q_hat_k depends on its
+    own level only, so a split range gives the same values."""
+    s, tt = point
+    t2 = tt * tt
     A, B = [], []
     for rj, j in zip(r[k_lo:k_hi + 2], range(k_lo, k_hi + 2)):
         x = j + s
@@ -103,6 +109,37 @@ def filter_values(r: list[float], sigma: Fraction, t: Fraction,
         A.append(a * a + b * b)
         B.append(c * c + e * e)
     return [a * b for a, b in zip(A, B[1:])]
+
+
+def filter_values(r: list[float], sigma: Fraction, t: Fraction,
+                  k_lo: int, k_hi: int) -> list[float]:
+    """q_hat_k for k in [k_lo, k_hi], from r[k_lo .. k_hi + 1]:
+    |q_hat_k - q_k| <= FILTER_REL * q_hat_k wherever q_hat_k is finite.
+    NaN marks a k the filter cannot judge; that is every k when sigma < 0 or
+    when sigma or t is not zero or a normal double."""
+    point = filter_point(sigma, t, k_hi + 1)
+    if point is None:
+        return [math.nan] * (k_hi - k_lo + 1)
+    return filter_levels(r, point, k_lo, k_hi)
+
+
+def filter_finite(point: tuple[float, float], j_max: int, r_lo: float, r_hi: float) -> bool:
+    """True when `filter_levels` at `point` (from `filter_point` with this
+    j_max) is finite at every k whose r_k and r_{k+1} are normal doubles in
+    [r_lo, r_hi].
+
+    Each rounded operation is monotone in its operands, non-decreasing in
+    all of them but a divisor. x_j = j + sigma <= x_top = j_max + sigma and
+    d_j >= x_j^2 >= 1, so each of a, b, c, e at such a level is at most
+    the same expression with x_top, t, d = 1 and r_hi (r_lo as a divisor),
+    and so are A, B and q_hat: all finite where that bound is."""
+    s, tt = point
+    x_top = j_max + s
+    a = 1.0 + r_hi * x_top
+    b = r_hi * tt
+    c = 1.0 + x_top / r_lo
+    e = tt / r_lo
+    return math.isfinite((a * a + b * b) * (c * c + e * e))
 
 
 def int_ratio_float(a: int, b: int) -> float:

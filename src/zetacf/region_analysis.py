@@ -16,11 +16,29 @@ Otherwise floating
 point appears only in reported margin values (with a derived error bound)
 and in the convergence probe, whose reference is an independently computed
 accelerated alternating series.
+
+The tail bound, Worpitzky's disc argument on a constant chain (Lorentzen &
+Waadeland, Continued Fractions with Applications, 1992, ch. 3): with
+v_j = r_j / (j+s), r_j = P_j / Q_j > 0 and sigma = Re s >= 0, |j+s| >= j, so
+|v_j| <= r_j / j. Where lam P_j <= j Q_j for an integer lam >= 6 at j = k
+and j = k+1, |v_k| and |v_{k+1}| are at most 1/lam, and
+
+    |E_k| >= (1 - |v_k|)(1/|v_{k+1}| - 1) >= (1 - 1/lam)(lam - 1)
+          = lam - 2 + 1/lam > 4,
+
+so level k passes and |E_k|^2 > (lam - 2)^2. Per row, lam_j = floor(j Q_j /
+P_j) for j = 1..m-1 and the suffix minima min_{j >= K} lam_j give K(lam),
+the least K at which that minimum is at least lam: every level k >= K(lam)
+(so both j = k, k+1 >= K(lam)) satisfies the bound. A row with an entry
+that is not positive has no tail (K = m). `_point_margin` filters only the
+levels below K(6), plus those below K(lam) for the lam its argmin needs.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,7 +63,9 @@ from .float_filter import (
     HIGH_END,
     LOW_END,
     PASS_AT,
-    filter_values,
+    filter_finite,
+    filter_levels,
+    filter_point,
     fraction_sqrt_float,
     int_ratio_float,
     margin_error_bound,
@@ -171,6 +191,12 @@ class _MarginContext:
     exact test runs on the content-free pairs (P_j / g_j, Q_j / g_j),
     g_j = gcd(P_j, Q_j) (`level`), which have the same |E_k|^2 and cut the
     common factor (g_k g_{k+1})^2 out of every product.
+
+    For the tail bound (module docstring) the row keeps the suffix minima
+    of lam_j = floor(j Q_j / P_j), j = 1..m-1 (all read as 0 when an entry
+    of S is not positive), the start `tail` = K(6) and `tail_r`, the least
+    and greatest r_j over j >= K(6) (None when one of them is NaN, or there
+    are none).
     """
 
     def __init__(self, S: list[int]):
@@ -182,6 +208,14 @@ class _MarginContext:
         self.Q = [0] + S[:m - 1]  # Q[k] = S[k-1]
         self.r = [math.nan] + [normal_ratio(p, q) for p, q in zip(self.P[1:], self.Q[1:])]
         self._levels: dict[int, tuple[int, int, int]] = {}  # filled on demand
+        lam = ([j * q // p for j, p, q in zip(range(1, m), self.P[1:], self.Q[1:])]
+               if min(S) > 0 else [0] * (m - 1))
+        # _lam_min[K-1] = min of lam_j over j >= K, non-decreasing in K
+        self._lam_min = list(itertools.accumulate(reversed(lam), min))[::-1]
+        self.tail = self.tail_start(6)
+        tail_r = self.r[self.tail:]
+        normal = tail_r and not any(map(math.isnan, tail_r))
+        self.tail_r = (min(tail_r), max(tail_r)) if normal else None
 
     def level(self, j: int) -> tuple[int, int, int]:
         """(P_j / g_j, Q_j / g_j, g_j) with g_j = gcd(P_j, Q_j), built once."""
@@ -190,6 +224,11 @@ class _MarginContext:
             g = math.gcd(self.P[j], self.Q[j])
             lv = self._levels[j] = (self.P[j] // g, self.Q[j] // g, g)
         return lv
+
+    def tail_start(self, lam: int) -> int:
+        """K(lam), the least K with lam P_j <= j Q_j at every j in [K, m-1];
+        m when there is none."""
+        return 1 + bisect.bisect_left(self._lam_min, lam)
 
 
 @functools.lru_cache(maxsize=4)
@@ -229,6 +268,17 @@ def _point_margin(ctx: _MarginContext, sigma: Fraction, t: Fraction,
     fallback). The argmin is the first k of least exact |E_k|^2: floats only
     rule out the k that cannot hold it, and the rest are compared exactly.
 
+    Where the filter models the point (so sigma >= 0) and is finite over
+    the row's tail (`filter_finite`), the tail bound decides every k >=
+    K(6) = ctx.tail: |E_k|^2 > 16 there, and the filter would have passed
+    each such k, so no verdict or fallback count moves. Only the k < K(6)
+    are filtered. For the argmin, `cut` from those levels bounds the least
+    |E_k|^2 from above; with lam = 2 + ceil(sqrt(ceil(cut))), every k >=
+    K(lam) has |E_k|^2 > (lam - 2)^2 >= cut, so it cannot hold the first
+    least value, and the k in [K(6), K(lam) - 1] are filtered as well.
+    Elsewhere every k in [k_lo, k_hi] is filtered, or sent to the exact
+    test where the filter declines the point.
+
     Returns (all_pass, argmin_k, num, den, sq, pole_adjacent,
     exact_fallbacks) where num/den is |E_{argmin}|^2 as the exact integer
     pair of P and Q and sq is its value as a Fraction. Every comparison runs
@@ -264,7 +314,15 @@ def _point_margin(ctx: _MarginContext, sigma: Fraction, t: Fraction,
         if W * (1 << 40) < sd2td2:  # |k+s|^2 < 2^-40
             poles = (k,)
 
-    q = filter_values(ctx.r, sigma, t, k_lo, k_hi)
+    point = filter_point(sigma, t, k_hi + 1)
+    end = k_hi  # the last k filtered so far
+    if point is None:
+        q = [math.nan] * (k_hi - k_lo + 1)
+    else:
+        if ctx.tail_r is not None and ctx.tail <= k_hi \
+                and filter_finite(point, k_hi + 1, *ctx.tail_r):
+            end = max(ctx.tail, k_lo) - 1
+        q = filter_levels(ctx.r, point, k_lo, end)
     exact: dict[int, tuple[int, int]] = {}
     all_pass = True
     for k, q_hat in enumerate(q, k_lo):
@@ -289,6 +347,14 @@ def _point_margin(ctx: _MarginContext, sigma: Fraction, t: Fraction,
     # <= cut in doubles for each of those, as rounding is monotone.
     q_min = min((q_hat for q_hat in q if q_hat < math.inf), default=math.inf)
     cut = math.nextafter(q_min * HIGH_END, math.inf)
+    if end < k_hi:  # the levels past K(6) pass: filter those before K(lam)
+        if cut < math.inf:
+            root = math.isqrt(math.ceil(cut) - 1) + 1  # ceil(sqrt(ceil(cut))): q_hat >= 1
+            stop = min(k_hi, ctx.tail_start(2 + root) - 1)
+        else:
+            stop = k_hi
+        if stop > end:
+            q += filter_levels(ctx.r, point, end + 1, stop)
     best = None
     for k in [k for k, q_hat in enumerate(q, k_lo) if q_hat * LOW_END <= cut or k in exact]:
         num, den = exact.get(k) or pair(k)

@@ -381,6 +381,22 @@ class TestScan:
             "a4385822c79c2e026dedf79f1b777ca458f63d1347ee0a8de9169b0e7e2a10d9")
         assert json.loads(report)["t_empirical"] is not None
 
+    @pytest.mark.parametrize("args, digest", [
+        ("scan worpitzky 300 --grid 21x21",
+         "b7602a9abc505011c2e2a4b431d7fb220b3c788595f3ebf558273f4011e467e1"),
+        ("--format csv scan worpitzky 300 --grid 21x21",
+         "257dea8425d81ec772433281142b66aa8c4b6f0d1c09ada7bb32a31de6bd247e"),
+        ("scan worpitzky 1000 --grid 3x3 --no-band",
+         "3d593a321a7d5de2aa300d6627bf203bc9d753cb3e648c22f21caf5d55539d1c"),
+        ("--format csv scan worpitzky 1000 --grid 3x3 --no-band",
+         "971041815a57b22f2f80d9ece57d5b9c5c34cb8222a392d5bf05968c92bdc56b"),
+    ])
+    def test_worpitzky_report_bytes_pinned(self, args, digest, capsys):
+        # the element test decides most levels of these scans by the tail
+        # bound; every report byte, JSON and CSV, must stay as it was
+        assert cli.main(args.split()) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
     def test_monotonicity_range(self, tmp_path):
         out = tmp_path / "m.json"
         code = cli.main(["--out", str(out), "scan", "monotonicity", "2..20"])

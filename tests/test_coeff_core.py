@@ -323,6 +323,26 @@ class TestSinhSeries:
         assert len(d) == n and all(type(x) is F for x in d)
         assert all(x.numerator * s.den == y * x.denominator for x, y in zip(d, s.num))
 
+    @pytest.mark.parametrize("r2", [F(0), F(1, 4), F(3, 7), F(100), F(10**9, 7)])
+    def test_d_in_lowest_terms(self, r2):
+        # d[k] is built from coprime parts without Fraction's gcd: its parts
+        # must be those of the normalised F(num[k], den)
+        s = sinh_series(r2, 40)
+        for x, n in zip(s.d, s.num):
+            y = F(n, s.den)
+            assert (x.numerator, x.denominator) == (y.numerator, y.denominator)
+
+    def test_d_divides_out_repeated_factors(self):
+        # u = 12 = 2^2 3: x = num[k] / u^(N-1-k) shares 2^a 3^b with u^(k+1)
+        # in powers above those of u, so the reduction takes several rounds
+        u, N = 12, 4
+        xs = [2 ** 7 * 3 * 5, -(3 ** 6) * 7, 0, 2 ** 9 * 3 ** 9 * 11]
+        num = tuple(x * u ** (N - 1 - k) for k, x in enumerate(xs))
+        s = coeff_core.SinhSeries(F(1), num, u ** N, u)
+        for k, (x, d) in enumerate(zip(xs, s.d)):
+            y = F(x, u ** (k + 1))
+            assert (d.numerator, d.denominator) == (y.numerator, y.denominator)
+
     @pytest.mark.parametrize("r2", [F(0), F(1, 4), F(1), F(100), F(10000), *(
         F(rng.randint(1, 10**6), rng.randint(1, 10**3))
         for rng in [random.Random(2101)] for _ in range(3))])

@@ -297,6 +297,123 @@ def test_far_out_argmin_is_first_exact_minimum():
     assert (r.argmin_k, r.margin) == (1, 74811609.04775213)
 
 
+def _off_band_points(seed, count):
+    """Points with sigma in [0, 3] and |t| <= 50 on the 1/64 lattice."""
+    rng = random.Random(seed)
+    return [(F(rng.randint(0, 192), 64), F(rng.randint(-3200, 3200), 64)) for _ in range(count)]
+
+
+def _filter_fallbacks(ctx, sigma, t, k_lo, k_hi):
+    """The exact fallbacks of filtering every level: the k whose q_hat
+    neither clears PASS_AT (finite) nor falls below FAIL_BELOW."""
+    q = ff.filter_values(ctx.r, sigma, t, k_lo, k_hi)
+    return sum(not (ff.PASS_AT <= qh < math.inf or qh < ff.FAIL_BELOW) for qh in q)
+
+
+class TestTailBound:
+    """The levels k >= K(6) are decided by the Worpitzky disc bound, and
+    those k >= K(lam) are left out of the argmin search."""
+
+    @pytest.mark.parametrize("m", [10, 100, 300])
+    def test_matches_all_level_oracle(self, m):
+        ctx = ra._margin_context(m)
+        assert ctx.tail < m - 2  # the lemma decides some levels
+        points = [(p.re, p.im) for p in seeded_strip_points(m + 5, 6)]
+        points += _off_band_points(m, 6) + [(F(0), F(1, 2)), (F(3), F(50))]
+        for sigma, t in points:
+            found = ra._point_margin(ctx, sigma, t, 1, m - 2)
+            assert found[:4] == _all_k_margin(ctx, sigma, t, 1, m - 2), (sigma, t)
+            assert found[-1] == _filter_fallbacks(ctx, sigma, t, 1, m - 2)
+            ok, k, *_, n_exact = ra._point_margin(ctx, sigma, t, 1, m - 2, want_min=False)
+            assert ok == found[0] and (k is None) == ok
+            if ok:
+                assert n_exact == found[-1]
+
+    @pytest.mark.parametrize("m", [10, 100, 300])
+    def test_tail_start_is_least(self, m):
+        # K(lam) is the least K with lam P_j <= j Q_j at every j in [K, m-1]
+        ctx = ra._margin_context(m)
+        holds = lambda lam, j: lam * ctx.P[j] <= j * ctx.Q[j]
+        for lam in (1, 6, 7, 10, 50, 10 ** 6):
+            K = ctx.tail_start(lam)
+            assert all(holds(lam, j) for j in range(K, m))
+            assert K == 1 or not holds(lam, K - 1)
+        assert ctx.tail == ctx.tail_start(6)
+        assert ctx.tail_r == (min(ctx.r[ctx.tail:]), max(ctx.r[ctx.tail:]))
+
+    @pytest.mark.parametrize("m", [10, 100])
+    def test_skipped_levels_clear_the_bound(self, m):
+        # every level k >= K(lam) has exact |E_k|^2 > (lam - 2)^2 wherever
+        # sigma >= 0, at the boundary sigma = 0 too
+        a = coeff_table(m - 1).a
+        ctx = ra._margin_context(m)
+        points = [(p.re, p.im) for p in seeded_strip_points(m + 9, 3)]
+        points += _off_band_points(m + 1, 3)
+        points += [(F(0), F(0)), (F(0), F(7)), (F(300), F(10 ** 6))]
+        for sigma, t in points:
+            q = {k: _oracle_sq(a, sigma, t, k) for k in range(ctx.tail, m - 1)}
+            for lam in (6, 7, 9, 12, 20):
+                assert all(q[k] > (lam - 2) ** 2 for k in range(ctx.tail_start(lam), m - 1))
+
+    def test_row_with_a_non_positive_entry_has_no_tail(self):
+        assert ra._MarginContext([9, 8, 7, 6, 5, 0]).tail_r is None
+        # every r_j of the negative row is positive, and it still has no tail
+        for S in ([1, 1, -1, 50, 1, 1, 1], [-(10 ** (8 - j)) for j in range(9)]):
+            ctx = ra._MarginContext(S)
+            m = len(S)
+            assert ctx.tail == ctx.tail_start(1) == m and ctx.tail_r is None
+            for sigma, t in ((F(1, 2), F(1)), (F(0), F(3)), (F(1, 3), F(10 ** 9))):
+                found = ra._point_margin(ctx, sigma, t, 1, m - 2)
+                assert found[:4] == _all_k_margin(ctx, sigma, t, 1, m - 2)
+                assert found[-1] == _filter_fallbacks(ctx, sigma, t, 1, m - 2)
+
+    def test_every_level_in_the_tail(self):
+        # S_j = 100^(8-j): lam_j = 100 j / (j+1) >= 50, so K(6) = 1 and the
+        # argmin search alone decides which levels are filtered
+        ctx = ra._MarginContext([100 ** (8 - j) for j in range(9)])
+        assert ctx.tail == 1
+        for sigma, t in ((F(1, 2), F(1)), (F(0), F(0)), (F(5), F(200))):
+            for k_lo, k_hi in ((1, 7), (3, 7), (1, 1)):
+                found = ra._point_margin(ctx, sigma, t, k_lo, k_hi)
+                assert found[:4] == _all_k_margin(ctx, sigma, t, k_lo, k_hi)
+                assert found[0] and found[-1] == 0
+                ok, k, *_ = ra._point_margin(ctx, sigma, t, k_lo, k_hi, want_min=False)
+                assert (ok, k) == (True, None)
+
+    def test_far_points_keep_the_full_path(self):
+        # where the filter's tail values could overflow, every level is
+        # filtered as before: the fallback count is the full filter's
+        m = 100
+        ctx = ra._margin_context(m)
+        for t in (F(10 ** 60), F(10 ** 75), F(10 ** 100), F(10 ** 153), F(10 ** 155)):
+            point = ff.filter_point(F(1, 2), t, m - 1)
+            if point is not None and ff.filter_finite(point, m - 1, *ctx.tail_r):
+                tail = ff.filter_values(ctx.r, F(1, 2), t, ctx.tail, m - 2)
+                assert all(ff.PASS_AT <= qh < math.inf for qh in tail)
+            found = ra._point_margin(ctx, F(1, 2), t, 1, m - 2)
+            assert found[:4] == _all_k_margin(ctx, F(1, 2), t, 1, m - 2)
+            assert found[-1] == _filter_fallbacks(ctx, F(1, 2), t, 1, m - 2)
+
+    def test_filter_finite_is_sound(self):
+        # at points where filter_finite holds, the filter is finite at every
+        # level whose two ratios lie in [r_lo, r_hi]
+        rng = random.Random(26)
+        ctx = ra._margin_context(300)
+        r_lo, r_hi = ctx.tail_r
+        tail = range(ctx.tail, 298)
+        finite = 0
+        for _ in range(300):
+            sigma = F(rng.randint(0, 2 ** 20), 2 ** 20) * 10 ** rng.randint(0, 160)
+            t = F(rng.randint(0, 2 ** 20), 2 ** 20) * 10 ** rng.randint(0, 160)
+            point = ff.filter_point(sigma, t, 299)
+            if point is None or not ff.filter_finite(point, 299, r_lo, r_hi):
+                continue
+            finite += 1
+            q = ff.filter_levels(ctx.r, point, 1, 298)
+            assert all(math.isfinite(q[k - 1]) for k in tail)
+        assert 50 < finite < 300
+
+
 class TestContentFreeLevels:
     """The exact test runs on (P_k / g_k, Q_k / g_k), g_k = gcd(P_k, Q_k),
     built only for the levels it reads."""
