@@ -95,6 +95,18 @@ def _stirling_row(m: int) -> list[int]:
     return row
 
 
+def _stirling_prefix(n: int, w: int) -> list[int]:
+    """S_n[0..w], the first w + 1 entries of row n (all of it when w >= n):
+    the recurrence of `stirling_rows` kept to those entries, in place from
+    high j to low, so O(n w) products instead of O(n^2)."""
+    row = [1] + [0] * min(w, n)
+    for m in range(1, n + 1):
+        for j in range(min(m, w), 0, -1):
+            row[j] = m * row[j] + row[j - 1]
+        row[0] *= m
+    return row
+
+
 def _row_eval_at_int(S: list[int], k: int) -> int:
     """m! * p_m(k) via Horner on the signed integer row."""
     acc = 0

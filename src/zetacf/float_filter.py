@@ -38,6 +38,8 @@ import math
 import sys
 from fractions import Fraction
 
+from .errors import InternalConsistencyError
+
 U = 2.0 ** -53  # unit roundoff of round-to-nearest doubles
 
 
@@ -95,7 +97,14 @@ def filter_levels(r: list[float], point: tuple[float, float],
                   k_lo: int, k_hi: int) -> list[float]:
     """q_hat_k for k in [k_lo, k_hi], from r[k_lo .. k_hi + 1], at a point
     from `filter_point` with j_max >= k_hi + 1. Each q_hat_k depends on its
-    own level only, so a split range gives the same values."""
+    own level only, so a split range gives the same values.
+
+    Raises InternalConsistencyError when r ends before k_hi + 1: a shorter
+    list would silently drop the last levels, and a level never filtered
+    would never be tested."""
+    if len(r) < k_hi + 2:
+        raise InternalConsistencyError(
+            f"filter_levels reads r[{k_hi + 1}], but r has {len(r)} entries")
     s, tt = point
     t2 = tt * tt
     A, B = [], []

@@ -381,6 +381,10 @@ class TestScan:
             "a4385822c79c2e026dedf79f1b777ca458f63d1347ee0a8de9169b0e7e2a10d9")
         assert json.loads(report)["t_empirical"] is not None
 
+    # the run statistics each pinned report's scan writes to stderr, by m
+    PINNED_LEVELS = {"300": "441 points, 80162 k-levels", "1000": "9 points, 5988 k-levels",
+                     "3000": "9 points, 17988 k-levels"}
+
     @pytest.mark.parametrize("args, digest", [
         ("scan worpitzky 300 --grid 21x21",
          "b7602a9abc505011c2e2a4b431d7fb220b3c788595f3ebf558273f4011e467e1"),
@@ -390,12 +394,20 @@ class TestScan:
          "3d593a321a7d5de2aa300d6627bf203bc9d753cb3e648c22f21caf5d55539d1c"),
         ("--format csv scan worpitzky 1000 --grid 3x3 --no-band",
          "971041815a57b22f2f80d9ece57d5b9c5c34cb8222a392d5bf05968c92bdc56b"),
+        ("scan worpitzky 3000 --grid 3x3 --no-band",
+         "1709bfbbeea193e35b12ce03cc61f5bf913492f1fc4e5c65c69cb86c616a963b"),
+        ("--format csv scan worpitzky 3000 --grid 3x3 --no-band",
+         "2cc871ed853f80232e1d097264931bcb47471aade1ec30c975d569bf1e3333b4"),
     ])
     def test_worpitzky_report_bytes_pinned(self, args, digest, capsys):
         # the element test decides most levels of these scans by the tail
-        # bound; every report byte, JSON and CSV, must stay as it was
+        # bound, from a prefix of the row at m = 1000 and 3000; every report
+        # byte, JSON and CSV, and the run statistics must stay as they were
         assert cli.main(args.split()) == 0
-        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+        out, err = capsys.readouterr()
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        m = args.split()[args.split().index("worpitzky") + 1]
+        assert f"scan worpitzky: {self.PINNED_LEVELS[m]}, 0 exact fallbacks\n" in err
 
     def test_monotonicity_range(self, tmp_path):
         out = tmp_path / "m.json"

@@ -430,6 +430,14 @@ def _row_tops_reference(S):
     return t, u, e
 
 
+def test_stirling_prefix_is_the_row_prefix():
+    # the recurrence kept to S_0..S_w, against the whole streamed row; w past
+    # the row gives all of it
+    for n, S in coeff_core.stirling_rows(300):
+        for w in (0, 1, 2, 5, n, n + 3):
+            assert coeff_core._stirling_prefix(n, w) == S[:w + 1], (n, w)
+
+
 class TestRowTops:
     def test_stirling_rows_equal_the_loop(self):
         for m, S in coeff_core.stirling_rows(200):

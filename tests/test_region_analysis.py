@@ -14,11 +14,12 @@ from zetacf.coeff_core import (
     CSequence,
     c_genfunc_oracle,
     c_sequences,
+    _stirling_row,
     coeff_table,
     harmonic_sums,
     stirling_rows,
 )
-from zetacf.errors import ReferenceAccuracyError, UncertifiableError
+from zetacf.errors import InternalConsistencyError, ReferenceAccuracyError, UncertifiableError
 from zetacf.qcomplex import QComplex
 from zetacf.region_analysis import (
     RegionGrid,
@@ -140,6 +141,12 @@ def _exact_pairs(ctx, sigma, t, k_lo, k_hi):
         yield k, 16 * N_of(k) * N_of(k + 1), 16 * (sd * td) ** 2 * W * (Q[k] * P[k + 1]) ** 2
 
 
+def _whole_row_context(m):
+    """The context built from all of row m-1, for oracles that read its P, Q
+    or r past the prefix `ra._margin_context(m)` holds."""
+    return ra._MarginContext(_stirling_row(m - 1))
+
+
 def _all_k_margin(ctx, sigma, t, k_lo, k_hi):
     """The element test as one exact integer loop over every k: the
     reference for the verdict, the argmin and its exact pair. The argmin is
@@ -170,7 +177,7 @@ class TestFilteredElementTest:
     @pytest.mark.parametrize("m", [10, 30, 100])
     def test_matches_fraction_oracle(self, m):
         a = coeff_table(m - 1).a
-        ctx = ra._margin_context(m)
+        ctx = _whole_row_context(m)
         t_lo, t_hi, t_lo_fine, t_hi_fine = _refined_bracket(m)
         points = [(p.re, p.im) for p in seeded_strip_points(m, 6)]
         points += [(F(1, 2), t) for t in (t_lo, t_hi, t_lo_fine, t_hi_fine)]
@@ -214,6 +221,14 @@ class TestFilteredElementTest:
             assert ra._point_margin(ctx, sigma, t, 1, 10)[:4] == _all_k_margin(ctx, sigma, t, 1, 10)
             assert worpitzky_margin(12, (sigma, t)).exact_fallbacks == 10
 
+    def test_short_ratio_list_is_refused(self):
+        # zip would stop at the list's end and drop the last levels unfiltered
+        r = ra._MarginContext([3 ** (11 - j) for j in range(12)]).r
+        point = ff.filter_point(F(1, 2), F(1), 11)
+        assert len(ff.filter_levels(r, point, 1, 10)) == len(ff.filter_levels(r, point, 10, 10)) * 10
+        with pytest.raises(InternalConsistencyError, match=r"reads r\[11\], but r has 11 entries"):
+            ff.filter_levels(r[:11], point, 1, 10)
+
     def test_scan_counts_fallbacks(self):
         rep = prop1_scan(30, default_strip_grid(30, 3, 3), bisect_band=True)
         assert rep.exact_fallbacks == 0
@@ -230,8 +245,8 @@ _FAR_POINTS = [(m, sigma, t) for m in (5, 10, 30, 100) for sigma in (F(1, 3), F(
 
 def test_margin_far_out():
     for m, sigma, t in _FAR_POINTS:
-        ctx = ra._margin_context(m)
-        assert ra._point_margin(ctx, sigma, t, 1, m - 2)[:4] == _all_k_margin(ctx, sigma, t, 1, m - 2)
+        found = ra._point_margin(ra._margin_context(m), sigma, t, 1, m - 2)
+        assert found[:4] == _all_k_margin(_whole_row_context(m), sigma, t, 1, m - 2)
         r = worpitzky_margin(m, QComplex(sigma, t))
         a = coeff_table(m - 1).a
         q = [_oracle_sq(a, sigma, t, k) for k in range(1, m - 1)]
@@ -316,14 +331,14 @@ class TestTailBound:
 
     @pytest.mark.parametrize("m", [10, 100, 300])
     def test_matches_all_level_oracle(self, m):
-        ctx = ra._margin_context(m)
+        ctx, whole = ra._margin_context(m), _whole_row_context(m)
         assert ctx.tail < m - 2  # the lemma decides some levels
         points = [(p.re, p.im) for p in seeded_strip_points(m + 5, 6)]
         points += _off_band_points(m, 6) + [(F(0), F(1, 2)), (F(3), F(50))]
         for sigma, t in points:
             found = ra._point_margin(ctx, sigma, t, 1, m - 2)
-            assert found[:4] == _all_k_margin(ctx, sigma, t, 1, m - 2), (sigma, t)
-            assert found[-1] == _filter_fallbacks(ctx, sigma, t, 1, m - 2)
+            assert found[:4] == _all_k_margin(whole, sigma, t, 1, m - 2), (sigma, t)
+            assert found[-1] == _filter_fallbacks(whole, sigma, t, 1, m - 2)
             ok, k, *_, n_exact = ra._point_margin(ctx, sigma, t, 1, m - 2, want_min=False)
             assert ok == found[0] and (k is None) == ok
             if ok:
@@ -332,14 +347,14 @@ class TestTailBound:
     @pytest.mark.parametrize("m", [10, 100, 300])
     def test_tail_start_is_least(self, m):
         # K(lam) is the least K with lam P_j <= j Q_j at every j in [K, m-1]
-        ctx = ra._margin_context(m)
-        holds = lambda lam, j: lam * ctx.P[j] <= j * ctx.Q[j]
+        ctx, whole = ra._margin_context(m), _whole_row_context(m)
+        holds = lambda lam, j: lam * whole.P[j] <= j * whole.Q[j]
         for lam in (1, 6, 7, 10, 50, 10 ** 6):
             K = ctx.tail_start(lam)
             assert all(holds(lam, j) for j in range(K, m))
             assert K == 1 or not holds(lam, K - 1)
         assert ctx.tail == ctx.tail_start(6)
-        assert ctx.tail_r == (min(ctx.r[ctx.tail:]), max(ctx.r[ctx.tail:]))
+        assert ctx.tail_r == (min(whole.r[ctx.tail:]), max(whole.r[ctx.tail:]))
 
     @pytest.mark.parametrize("m", [10, 100])
     def test_skipped_levels_clear_the_bound(self, m):
@@ -384,21 +399,21 @@ class TestTailBound:
         # where the filter's tail values could overflow, every level is
         # filtered as before: the fallback count is the full filter's
         m = 100
-        ctx = ra._margin_context(m)
+        ctx, whole = ra._margin_context(m), _whole_row_context(m)
         for t in (F(10 ** 60), F(10 ** 75), F(10 ** 100), F(10 ** 153), F(10 ** 155)):
             point = ff.filter_point(F(1, 2), t, m - 1)
             if point is not None and ff.filter_finite(point, m - 1, *ctx.tail_r):
-                tail = ff.filter_values(ctx.r, F(1, 2), t, ctx.tail, m - 2)
+                tail = ff.filter_values(whole.r, F(1, 2), t, ctx.tail, m - 2)
                 assert all(ff.PASS_AT <= qh < math.inf for qh in tail)
             found = ra._point_margin(ctx, F(1, 2), t, 1, m - 2)
-            assert found[:4] == _all_k_margin(ctx, F(1, 2), t, 1, m - 2)
-            assert found[-1] == _filter_fallbacks(ctx, F(1, 2), t, 1, m - 2)
+            assert found[:4] == _all_k_margin(whole, F(1, 2), t, 1, m - 2)
+            assert found[-1] == _filter_fallbacks(whole, F(1, 2), t, 1, m - 2)
 
     def test_filter_finite_is_sound(self):
         # at points where filter_finite holds, the filter is finite at every
         # level whose two ratios lie in [r_lo, r_hi]
         rng = random.Random(26)
-        ctx = ra._margin_context(300)
+        ctx, whole = ra._margin_context(300), _whole_row_context(300)
         r_lo, r_hi = ctx.tail_r
         tail = range(ctx.tail, 298)
         finite = 0
@@ -409,9 +424,87 @@ class TestTailBound:
             if point is None or not ff.filter_finite(point, 299, r_lo, r_hi):
                 continue
             finite += 1
-            q = ff.filter_levels(ctx.r, point, 1, 298)
+            q = ff.filter_levels(whole.r, point, 1, 298)
             assert all(math.isfinite(q[k - 1]) for k in tail)
         assert 50 < finite < 300
+
+
+class TestRowPrefix:
+    """`_margin_context(m)` builds from the prefix S_0..S_w of row m-1 with
+    lam_w >= 6 (w = 64 at every m here past 65) and answers as the context
+    of the whole row does, swapping that row in before it reads past w."""
+
+    M_LIST = list(range(3, 401)) + [1000, 1500]
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        wanted = set(self.M_LIST)
+        return {n + 1: S for n, S in stirling_rows(max(wanted) - 1) if n + 1 in wanted}
+
+    def test_matches_the_whole_row(self, rows, monkeypatch):
+        # _stirling_row serves the streamed rows, so each swap costs nothing
+        monkeypatch.setattr(ra, "_stirling_row", lambda n: list(rows[n + 1]))
+        for m in self.M_LIST:
+            ctx = ra._margin_context.__wrapped__(m)  # a fresh context, not the cached one
+            whole = ra._MarginContext(rows[m])
+            w = len(ctx.P) - 1
+            assert (w == m - 1) == (m <= 65) and (m <= 65 or w == 64), m
+            assert (ctx.tail, ctx.tail_r) == (whole.tail, whole.tail_r), m
+            lam_w = ctx._lam_min[-1]
+            for lam in range(1, min(lam_w, 60) + 1):  # the prefix answers
+                assert ctx.tail_start(lam) == whole.tail_start(lam), (m, lam)
+            assert (ctx.P, ctx.Q) == (whole.P[:w + 1], whole.Q[:w + 1]), m
+            levels = (1, min(ctx.tail, w), w)
+            assert [ctx.level(j) for j in levels] == [whole.level(j) for j in levels]
+            assert len(ctx.P) == w + 1  # nothing read past the prefix yet
+            for lam in range(lam_w + 1, 61):
+                # a bisect over the prefix alone would give w + 1 < m here
+                assert whole.tail_start(lam) > w
+                assert ctx.tail_start(lam) == whole.tail_start(lam), (m, lam)
+                assert (ctx.P, ctx.Q, ctx.r[1:]) == (whole.P, whole.Q, whole.r[1:])
+            assert [ctx.level(j) for j in (w, m - 2, m - 1)] == [whole.level(j) for j in (w, m - 2, m - 1)]
+            assert (ctx.P, ctx.Q, ctx.r[1:]) == (whole.P, whole.Q, whole.r[1:])
+            assert (ctx.tail, ctx.tail_r) == (whole.tail, whole.tail_r)
+
+    @pytest.mark.parametrize("m, sigma, t, extends", [
+        (300, F(-1, 3), F(1, 2), True),  # sigma < 0: the filter declines the point
+        (300, F(1, 2), F(10) ** 306, True),  # filter_point overflows
+        (300, F(1, 2), F(1, 2 ** 1060), True),  # t is subnormal
+        (300, F(1, 2), F(10) ** 100, True),  # filter_finite fails
+        (300, F(1, 2), F(1000), True),  # the argmin search reads K(lam) past w
+        (1000, F(1, 3), F(500), True),
+        (1000, F(1, 2), F(1, 3), False),
+        (65, F(1, 3), F(1, 2), True),  # the whole row from the start
+        (66, F(1, 3), F(1, 2), False),  # the first prefix context
+        (66, F(-5, 4), F(2), True),
+    ])
+    def test_extension_paths_match_the_whole_row(self, m, sigma, t, extends, monkeypatch):
+        built, fresh = [], ra._margin_context.__wrapped__
+        monkeypatch.setattr(ra, "_margin_context", lambda m: built.append(fresh(m)) or built[-1])
+        got = worpitzky_margin(m, (sigma, t))
+        assert (len(built[0].P) == m) == extends
+        monkeypatch.setattr(ra, "_margin_context", _whole_row_context)
+        assert got == worpitzky_margin(m, (sigma, t))  # repr would pass the int-str limit
+
+    def test_strip_work_at_m1000_reads_no_whole_row(self, monkeypatch):
+        # the seeded margins, the 9x9 scan and its band search at m = 1000
+        # all read only the prefix: the perf property of the prefix context
+        def refuse(n):
+            if n == 999:
+                raise AssertionError("the whole row 999 was built")
+            return _stirling_row(n)
+
+        ra._margin_context.cache_clear()
+        monkeypatch.setattr(ra, "_stirling_row", refuse)
+        T = half_sqrt_log_lower(1000)
+        rng = random.Random(1000)
+        t_max = math.floor(T * 64)
+        for _ in range(16):
+            sigma, t = F(rng.randint(1, 63), 64), F(rng.randint(-t_max, t_max), 64)
+            assert worpitzky_margin(1000, (sigma, t)).passed
+        rep = prop1_scan(1000, default_strip_grid(1000, 9, 9), bisect_band=True)
+        assert rep.band_pass and rep.t_empirical > T
+        assert len(ra._margin_context(1000).P) == 65
 
 
 class TestContentFreeLevels:
@@ -433,12 +526,12 @@ class TestContentFreeLevels:
         # the same verdict, argmin and integer pair. At m = 1000 the levels
         # stop at 100, where g_k still has 1736 of P_k's 8223 bits: the
         # oracle reduces a Fraction per level, about 2 s a point on all 998
-        ctx = ra._margin_context(m)
+        ctx, whole = ra._margin_context(m), _whole_row_context(m)
         points = [(p.re, p.im) for p in seeded_strip_points(m + 23, n_strip)]
         points += [(F(1, 3), F(10 ** 6)), (F(1, 2), F(3 ** 20, 7))]
         for sigma, t in points:
             found = ra._point_margin(ctx, sigma, t, 1, k_hi)
-            assert found[:4] == _all_k_margin(ctx, sigma, t, 1, k_hi)
+            assert found[:4] == _all_k_margin(whole, sigma, t, 1, k_hi)
             assert found[4] == F(found[2], found[3])
 
 
