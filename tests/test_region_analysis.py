@@ -484,7 +484,7 @@ class TestRowPrefix:
         got = worpitzky_margin(m, (sigma, t))
         assert (len(built[0].P) == m) == extends
         monkeypatch.setattr(ra, "_margin_context", _whole_row_context)
-        assert got == worpitzky_margin(m, (sigma, t))  # repr would pass the int-str limit
+        assert got == worpitzky_margin(m, (sigma, t))  # repr would exceed the int-to-str limit
 
     def test_strip_work_at_m1000_reads_no_whole_row(self, monkeypatch):
         # the seeded margins, the 9x9 scan and its band search at m = 1000
