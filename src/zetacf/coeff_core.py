@@ -89,17 +89,12 @@ def stirling_rows(m_max: int) -> Iterator[tuple[int, list[int]]]:
         yield m, row
 
 
-def _stirling_row(m: int) -> list[int]:
-    for mm, row in stirling_rows(m):
-        pass
-    return row
-
-
-def _stirling_prefix(n: int, w: int) -> list[int]:
-    """S_n[0..w], the first w + 1 entries of row n (all of it when w >= n):
-    the recurrence of `stirling_rows` kept to those entries, in place from
-    high j to low, so O(n w) products instead of O(n^2)."""
-    row = [1] + [0] * min(w, n)
+def _stirling_row(n: int, w: int | None = None) -> list[int]:
+    """S_n[0..w], the first w + 1 entries of row n of `stirling_rows` (all of
+    it when w is None or w >= n): the row recurrence kept to those entries,
+    in place from high j to low, so O(n w) products instead of O(n^2)."""
+    w = n if w is None else min(w, n)
+    row = [1] + [0] * w
     for m in range(1, n + 1):
         for j in range(min(m, w), 0, -1):
             row[j] = m * row[j] + row[j - 1]

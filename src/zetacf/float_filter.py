@@ -120,18 +120,6 @@ def filter_levels(r: list[float], point: tuple[float, float],
     return [a * b for a, b in zip(A, B[1:])]
 
 
-def filter_values(r: list[float], sigma: Fraction, t: Fraction,
-                  k_lo: int, k_hi: int) -> list[float]:
-    """q_hat_k for k in [k_lo, k_hi], from r[k_lo .. k_hi + 1]:
-    |q_hat_k - q_k| <= FILTER_REL * q_hat_k wherever q_hat_k is finite.
-    NaN marks a k the filter cannot judge; that is every k when sigma < 0 or
-    when sigma or t is not zero or a normal double."""
-    point = filter_point(sigma, t, k_hi + 1)
-    if point is None:
-        return [math.nan] * (k_hi - k_lo + 1)
-    return filter_levels(r, point, k_lo, k_hi)
-
-
 def filter_finite(point: tuple[float, float], j_max: int, r_lo: float, r_hi: float) -> bool:
     """True when `filter_levels` at `point` (from `filter_point` with this
     j_max) is finite at every k whose r_k and r_{k+1} are normal doubles in

@@ -20,11 +20,11 @@ __all__ = ["QComplex"]
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, (float, mp.mpf)) and not mp.isfinite(x):
+        raise ValueError(f"{x!r} is not a finite rational")
     if isinstance(x, (int, float)):
         return Fraction(x)  # exact: binary floats are dyadic rationals
     if isinstance(x, mp.mpf):
-        if not mp.isfinite(x):
-            raise ValueError(f"{x!r} is not a finite rational")
         man, exp = x.man_exp
         return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
     raise TypeError(f"cannot represent {x!r} exactly as a rational")

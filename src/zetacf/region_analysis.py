@@ -41,12 +41,14 @@ rho_j = j S_j / S_{j-1} non-increasing. Then lam_j = floor(j^2 / ((j+1)
 rho_j)) is non-decreasing and r_j = (j+1) rho_j / j strictly decreasing:
 the suffix minima are lam_j itself, K(lam) is the first j with lam_j >= lam,
 and the least and greatest r_j over j >= K(6) are r_{m-1} = 2/(m-1) and
-r_{K(6)}. So `_margin_context(m)` builds from the entries S_0..S_w, w = 64,
-128, ... until lam_w >= 6, with O(m w) products instead of the O(m^2) of
-the whole row, and swaps the whole row in only where a point reads past w:
-one the filter declines or cannot bound over the tail, whose levels are all
-filtered or tested exactly, or one whose argmin search needs K(lam) for a
-lam > lam_w.
+r_{K(6)}. So `_margin_context(m)` builds the one context class,
+`_MarginContext`, from the entries S_0..S_w, w = 64, 128, ... until
+lam_w >= 6, with O(m w) products instead of the O(m^2) of the whole row
+(`_stirling_row(m - 1, w)`), and the context swaps the whole row in only
+where a point reads past w: one the filter declines or cannot bound over
+the tail, whose levels are all filtered or tested exactly, or one whose
+argmin search needs K(lam) for a lam > lam_w. A context of an explicit
+whole row is the same class and never swaps.
 """
 
 from __future__ import annotations
@@ -64,7 +66,6 @@ import mpmath as mp
 from .approx_eval import _pf_value_at_prec, _to_mpc, build_f, build_g
 from .coeff_core import (
     _row_tops,
-    _stirling_prefix,
     _stirling_row,
     _tops_prove,
     bernoulli_table,
@@ -191,7 +192,9 @@ def half_sqrt_log_lower(m: int) -> Fraction:
 
 class _MarginContext:
     """Per-m tables for the element test, from the integer row
-    S = (m-1)! a_{m-1,.} (m = len(S)). The test at s = sn/sd + i tn/td is
+    S = (m-1)! a_{m-1,.}: the whole row (m = len(S)), or, from
+    `_margin_context` only, a prefix S_0..S_w of Stirling row m-1 with
+    lam_w >= 6. The test at s = sn/sd + i tn/td is
 
         N_k N_{k+1} >= 16 sd^2 td^2 W_k (Q_k P_{k+1})^2
 
@@ -208,104 +211,71 @@ class _MarginContext:
     g_j = gcd(P_j, Q_j) (`level`), which have the same |E_k|^2 and cut the
     common factor (g_k g_{k+1})^2 out of every product.
 
-    For the tail bound (module docstring) the row keeps the suffix minima
-    of lam_j = floor(j Q_j / P_j), j = 1..m-1 (all read as 0 when an entry
-    of S is not positive), the start `tail` = K(6) and `tail_r`, the least
-    and greatest r_j over j >= K(6) (None when one of them is NaN, or there
-    are none). A context built here from an explicit row takes nothing from
-    Newton's inequalities, as a crafted row need not be real-rooted; the
-    Stirling rows of `_margin_context` are built from a prefix instead
-    (`_PrefixContext`). Readers take r through `ratios`, which a prefix
-    context extends first.
+    For the tail bound (module docstring) the context keeps the suffix
+    minima of lam_j = floor(j Q_j / P_j) over the j it holds (all read as 0
+    when an entry of S is not positive), the start `tail` = K(6) and
+    `tail_r`, the least and greatest r_j over j >= K(6) (None when one of
+    them is NaN, or there are none). A whole row takes nothing from
+    Newton's inequalities, as a crafted row need not be real-rooted. On a
+    Stirling prefix they make lam_j non-decreasing and r_j strictly
+    decreasing: the prefix's suffix minima are lam_j itself, so K(lam) is
+    the whole row's wherever lam <= lam_w, and the least r_j over j >= K(6)
+    is r_{m-1} = 2/(m-1), which joins the prefix's r_j in `tail_r`; rounding
+    is monotone, so that is the whole row's `tail_r`. `level`, `ratios` and
+    `tail_start` swap in the whole row before they read past the prefix, so
+    the context answers as the whole row's does.
     """
 
-    def __init__(self, S: list[int]):
-        m = len(S)
+    def __init__(self, S: list[int], m: int | None = None):
+        self.m = m = len(S) if m is None else m
         if m < 3:
             raise ValueError("the element test needs m >= 3 (k range 1..m-2)")
-        self.m = m
-        self._set_row(S)
         self._levels: dict[int, tuple[int, int, int]] = {}  # filled on demand
-        lam = self._lam() if min(S) > 0 else [0] * (m - 1)
-        # _lam_min[K-1] = min of lam_j over j >= K, non-decreasing in K
-        self._lam_min = list(itertools.accumulate(reversed(lam), min))[::-1]
+        self._set_row(S)
         self.tail = self.tail_start(6)
-        tail_r = self.r[self.tail:]
+        tail_r = self.r[self.tail:] + [normal_ratio(2, m - 1)] * (len(S) < m)
         normal = tail_r and not any(map(math.isnan, tail_r))
         self.tail_r = (min(tail_r), max(tail_r)) if normal else None
 
     def _set_row(self, S: list[int]) -> None:
-        """P, Q and r at j = 1..len(S)-1, from the entries S_0..S_{len(S)-1}."""
+        """P, Q, r and the suffix minima of lam at j = 1..len(S)-1, from the
+        entries S_0..S_{len(S)-1}."""
         self.P = [0] + [(k + 1) * S[k] for k in range(1, len(S))]  # P[k] = (k+1) S_k
         self.Q = [0] + S[:-1]  # Q[k] = S[k-1]
         self.r = [math.nan] + [normal_ratio(p, q) for p, q in zip(self.P[1:], self.Q[1:])]
+        if min(S) > 0:
+            lam = [j * q // p for j, p, q in zip(itertools.count(1), self.P[1:], self.Q[1:])]
+        else:
+            lam = [0] * (len(S) - 1)
+        # _lam_min[K-1] = min of lam_j over j >= K, non-decreasing in K
+        self._lam_min = list(itertools.accumulate(reversed(lam), min))[::-1]
 
-    def _lam(self) -> list[int]:
-        """lam_j = floor(j Q_j / P_j) at every j in the tables, for P_j > 0."""
-        return [j * q // p for j, p, q in zip(itertools.count(1), self.P[1:], self.Q[1:])]
+    def _reach(self, j: int) -> None:
+        """Swap in the whole Stirling row before a read of index j past the
+        prefix (the entries the prefix holds are unchanged)."""
+        if j >= len(self.P):
+            self._set_row(_stirling_row(self.m - 1))
 
     def level(self, j: int) -> tuple[int, int, int]:
         """(P_j / g_j, Q_j / g_j, g_j) with g_j = gcd(P_j, Q_j), built once."""
         lv = self._levels.get(j)
         if lv is None:
+            self._reach(j)
             g = math.gcd(self.P[j], self.Q[j])
             lv = self._levels[j] = (self.P[j] // g, self.Q[j] // g, g)
         return lv
 
     def ratios(self, j: int) -> list[float]:
         """r, for a reader of its entries up to index j."""
+        self._reach(j)
         return self.r
 
     def tail_start(self, lam: int) -> int:
         """K(lam), the least K with lam P_j <= j Q_j at every j in [K, m-1];
         m when there is none."""
+        if lam > self._lam_min[-1]:
+            self._reach(self.m - 1)
         return 1 + bisect.bisect_left(self._lam_min, lam)
-
-
-class _PrefixContext(_MarginContext):
-    """The context of Stirling row m-1 from its first w+1 entries S_0..S_w,
-    w < m-1, where lam_w >= 6 (`_margin_context`).
-
-    Row m-1 holds the coefficients of (x+1)...(x+m-1), whose roots are all
-    real, so by Newton's inequalities lam_j is non-decreasing and r_j
-    strictly decreasing (module docstring). The suffix minima are lam_j
-    itself, K(lam) is the first j with lam_j >= lam, which the prefix holds
-    wherever lam <= lam_w, and tail_r = (r_{m-1}, r_{K(6)}) with
-    r_{m-1} = 2/(m-1): rounding is monotone, so these are the whole row's
-    least and greatest rounded r_j over j >= K(6), and one of them is NaN
-    exactly when one of those is. P, Q and r run to j = w only: `level`,
-    `ratios` and `tail_start` swap in the whole row before they read past
-    the prefix, so the context answers as the whole row's does.
-    """
-
-    def __init__(self, m: int, S: list[int]):
-        self.m = m
-        self._set_row(S)
-        self._levels = {}
-        self._lam_min = self._lam()
-        self.tail = self.tail_start(6)
-        ends = normal_ratio(2, m - 1), self.r[self.tail]
-        self.tail_r = None if any(map(math.isnan, ends)) else ends
-
-    def _extend(self) -> None:
-        """Swap in the whole row (its levels below w + 1 are unchanged)."""
-        self._set_row(_stirling_row(self.m - 1))
-        self._lam_min = self._lam()
-
-    def level(self, j: int) -> tuple[int, int, int]:
-        if j >= len(self.P):
-            self._extend()
-        return super().level(j)
-
-    def ratios(self, j: int) -> list[float]:
-        if j >= len(self.r):
-            self._extend()
-        return self.r
-
-    def tail_start(self, lam: int) -> int:
-        if lam > self._lam_min[-1] and len(self.P) < self.m:
-            self._extend()
-        return super().tail_start(lam)
 
 
 @functools.lru_cache(maxsize=4)
@@ -313,12 +283,11 @@ def _margin_context(m: int) -> _MarginContext:
     """The context of row m-1, from its shortest prefix S_0..S_w, w = 64,
     128, ..., with lam_w >= 6, or from the whole row once w reaches m-1."""
     n, w = m - 1, 64
-    while w < n:
-        S = _stirling_prefix(n, w)
-        if w * S[w - 1] >= 6 * (w + 1) * S[w]:  # lam_w >= 6
-            return _PrefixContext(m, S)
+    while True:
+        S = _stirling_row(n, w)
+        if w >= n or w * S[w - 1] >= 6 * (w + 1) * S[w]:  # the whole row, or lam_w >= 6
+            return _MarginContext(S, m)
         w *= 2
-    return _MarginContext(_stirling_row(n))
 
 
 @dataclass(frozen=True)
@@ -1159,7 +1128,10 @@ def convergence_probe(s_points, m_list, precision: int = 256) -> ConvergenceProb
 
     At reachable m the error is only expected to fall where |Im s| is small
     against log m, for example inside the band |Im s| <= (1/2) sqrt(log m)."""
-    m_list = list(m_list)
+    s_points, m_list = list(s_points), list(m_list)
+    for name, given in (("s_points", s_points), ("m_list", m_list)):
+        if not given:
+            raise ValueError(f"{name} must not be empty")
     bernoulli_table(max(m_list))  # the largest table, once, before the m loop
     pts = []
     for s in s_points:

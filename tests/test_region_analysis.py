@@ -98,6 +98,14 @@ class TestWorpitzkyMargin:
         r2 = worpitzky_margin(12, QComplex(F(1, 2), F(3, 4)))
         assert r1 == r2
 
+    @pytest.mark.parametrize("s", [
+        complex(0.5, math.inf), complex(-math.inf, 1), complex(0.5, math.nan), math.nan,
+        mp.mpc(0.5, mp.inf), mp.mpc(mp.nan, 1)])
+    def test_non_finite_input_is_refused(self, s):
+        # a float and an mpf are refused alike, before any arithmetic
+        with pytest.raises(ValueError, match=r"is not a finite rational$"):
+            worpitzky_margin(10, s)
+
     def test_pole_is_rejected(self):
         with pytest.raises(ValueError, match=r"^s coincides with the pole at k=3$"):
             worpitzky_margin(10, QComplex(F(-3), F(0)))
@@ -145,6 +153,16 @@ def _whole_row_context(m):
     """The context built from all of row m-1, for oracles that read its P, Q
     or r past the prefix `ra._margin_context(m)` holds."""
     return ra._MarginContext(_stirling_row(m - 1))
+
+
+def _filter_values(r, sigma, t, k_lo, k_hi):
+    """q_hat_k for k in [k_lo, k_hi] from r[k_lo .. k_hi + 1], as
+    `filter_point` and `filter_levels` give them: NaN at every k where the
+    filter declines the point."""
+    point = ff.filter_point(sigma, t, k_hi + 1)
+    if point is None:
+        return [math.nan] * (k_hi - k_lo + 1)
+    return ff.filter_levels(r, point, k_lo, k_hi)
 
 
 def _all_k_margin(ctx, sigma, t, k_lo, k_hi):
@@ -207,7 +225,7 @@ class TestFilteredElementTest:
         ctx = ra._margin_context(m)
         rel = F(ff.FILTER_REL)
         for p in seeded_strip_points(2024, 200):
-            q_hat = ff.filter_values(ctx.r, p.re, p.im, 1, m - 2)
+            q_hat = _filter_values(ctx.r, p.re, p.im, 1, m - 2)
             for k, qh in enumerate(q_hat, 1):
                 assert math.isfinite(qh)
                 assert abs(F(qh) - _oracle_sq(a, p.re, p.im, k)) <= rel * F(qh)
@@ -217,7 +235,7 @@ class TestFilteredElementTest:
         for sigma, t in ((F(-1, 3), F(1)),  # sigma < 0: terms can cancel
                          (F(1, 2), F(1, 2 ** 1060)),  # t is subnormal
                          (F(1, 2), F(10 ** 400))):  # t overflows
-            assert all(math.isnan(q) for q in ff.filter_values(ctx.r, sigma, t, 1, 10))
+            assert all(math.isnan(q) for q in _filter_values(ctx.r, sigma, t, 1, 10))
             assert ra._point_margin(ctx, sigma, t, 1, 10)[:4] == _all_k_margin(ctx, sigma, t, 1, 10)
             assert worpitzky_margin(12, (sigma, t)).exact_fallbacks == 10
 
@@ -321,7 +339,7 @@ def _off_band_points(seed, count):
 def _filter_fallbacks(ctx, sigma, t, k_lo, k_hi):
     """The exact fallbacks of filtering every level: the k whose q_hat
     neither clears PASS_AT (finite) nor falls below FAIL_BELOW."""
-    q = ff.filter_values(ctx.r, sigma, t, k_lo, k_hi)
+    q = _filter_values(ctx.r, sigma, t, k_lo, k_hi)
     return sum(not (ff.PASS_AT <= qh < math.inf or qh < ff.FAIL_BELOW) for qh in q)
 
 
@@ -395,6 +413,29 @@ class TestTailBound:
                 ok, k, *_ = ra._point_margin(ctx, sigma, t, k_lo, k_hi, want_min=False)
                 assert (ok, k) == (True, None)
 
+    def test_crafted_rows_are_never_swapped(self, monkeypatch):
+        # an explicit whole row is the context's row: no read, at points the
+        # filter declines (sigma < 0) or cannot bound over the tail
+        # (t = 10^100), nor K(lam) past every lam_j, swaps in a Stirling row
+        rows = ([1, 1, 1, 50, 1, 1, 1], [1, 1, -1, 50, 1, 1, 1],
+                [-(10 ** (8 - j)) for j in range(9)], [100 ** (8 - j) for j in range(9)])
+        points = ((F(-1, 3), F(1)), (F(-5, 4), F(2)), (F(1, 2), F(10) ** 100), (F(0), F(10) ** 100))
+
+        def answers(S):
+            ctx = ra._MarginContext(S)
+            got = [ra._point_margin(ctx, sigma, t, 1, len(S) - 2) for sigma, t in points]
+            got += [ra._point_margin(ctx, sigma, t, 1, len(S) - 2, want_min=False) for sigma, t in points]
+            return got + [ctx.tail_start(10 ** 6), ctx.tail, ctx.tail_r]
+
+        expected = [answers(S) for S in rows]
+        assert expected[0][-3:] == [7, 7, None] and expected[3][-3:-1] == [9, 1]
+
+        def refuse(n, w=None):
+            raise AssertionError(f"a Stirling row {n} was built for an explicit row")
+
+        monkeypatch.setattr(ra, "_stirling_row", refuse)
+        assert [answers(S) for S in rows] == expected
+
     def test_far_points_keep_the_full_path(self):
         # where the filter's tail values could overflow, every level is
         # filtered as before: the fallback count is the full filter's
@@ -403,7 +444,7 @@ class TestTailBound:
         for t in (F(10 ** 60), F(10 ** 75), F(10 ** 100), F(10 ** 153), F(10 ** 155)):
             point = ff.filter_point(F(1, 2), t, m - 1)
             if point is not None and ff.filter_finite(point, m - 1, *ctx.tail_r):
-                tail = ff.filter_values(whole.r, F(1, 2), t, ctx.tail, m - 2)
+                tail = _filter_values(whole.r, F(1, 2), t, ctx.tail, m - 2)
                 assert all(ff.PASS_AT <= qh < math.inf for qh in tail)
             found = ra._point_margin(ctx, F(1, 2), t, 1, m - 2)
             assert found[:4] == _all_k_margin(whole, F(1, 2), t, 1, m - 2)
@@ -442,8 +483,9 @@ class TestRowPrefix:
         return {n + 1: S for n, S in stirling_rows(max(wanted) - 1) if n + 1 in wanted}
 
     def test_matches_the_whole_row(self, rows, monkeypatch):
-        # _stirling_row serves the streamed rows, so each swap costs nothing
-        monkeypatch.setattr(ra, "_stirling_row", lambda n: list(rows[n + 1]))
+        # the swap to the whole row reads the streamed rows, so it costs nothing
+        monkeypatch.setattr(ra, "_stirling_row", lambda n, w=None: (
+            list(rows[n + 1]) if w is None else _stirling_row(n, w)))
         for m in self.M_LIST:
             ctx = ra._margin_context.__wrapped__(m)  # a fresh context, not the cached one
             whole = ra._MarginContext(rows[m])
@@ -489,10 +531,10 @@ class TestRowPrefix:
     def test_strip_work_at_m1000_reads_no_whole_row(self, monkeypatch):
         # the seeded margins, the 9x9 scan and its band search at m = 1000
         # all read only the prefix: the perf property of the prefix context
-        def refuse(n):
-            if n == 999:
+        def refuse(n, w=None):
+            if n == 999 and (w is None or w >= n):
                 raise AssertionError("the whole row 999 was built")
-            return _stirling_row(n)
+            return _stirling_row(n, w)
 
         ra._margin_context.cache_clear()
         monkeypatch.setattr(ra, "_stirling_row", refuse)
@@ -1331,6 +1373,13 @@ class TestConvergenceProbe:
         with mp.workprec(280):
             gap = float(abs(1 - zeta_reference(s, 256).value))
         assert abs(errors[-1] - gap) < abs(errors[0] - gap)
+
+    def test_rejects_empty_lists(self):
+        with pytest.raises(ValueError, match=r"^m_list must not be empty$"):
+            convergence_probe([F(2)], [], 128)
+        for points in ([], iter([])):
+            with pytest.raises(ValueError, match=r"^s_points must not be empty$"):
+                convergence_probe(points, [4], 128)
 
     def test_rejects_bad_points(self):
         with pytest.raises(ValueError):
