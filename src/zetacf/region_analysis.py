@@ -233,7 +233,9 @@ class _MarginContext:
         self._levels: dict[int, tuple[int, int, int]] = {}  # filled on demand
         self._set_row(S)
         self.tail = self.tail_start(6)
-        tail_r = self.r[self.tail:] + [normal_ratio(2, m - 1)] * (len(S) < m)
+        tail_r = self.r[self.tail:]
+        if len(S) < m:  # a Stirling prefix: r_{m-1} = 2/(m-1), the least r_j
+            tail_r.append(normal_ratio(2, m - 1))
         normal = tail_r and not any(map(math.isnan, tail_r))
         self.tail_r = (min(tail_r), max(tail_r)) if normal else None
 

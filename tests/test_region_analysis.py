@@ -418,7 +418,8 @@ class TestTailBound:
         # filter declines (sigma < 0) or cannot bound over the tail
         # (t = 10^100), nor K(lam) past every lam_j, swaps in a Stirling row
         rows = ([1, 1, 1, 50, 1, 1, 1], [1, 1, -1, 50, 1, 1, 1],
-                [-(10 ** (8 - j)) for j in range(9)], [100 ** (8 - j) for j in range(9)])
+                [-(10 ** (8 - j)) for j in range(9)], [100 ** (8 - j) for j in range(9)],
+                [9, 8, 7, 6, 5, 0])
         points = ((F(-1, 3), F(1)), (F(-5, 4), F(2)), (F(1, 2), F(10) ** 100), (F(0), F(10) ** 100))
 
         def answers(S):
