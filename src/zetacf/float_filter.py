@@ -120,25 +120,6 @@ def filter_levels(r: list[float], point: tuple[float, float],
     return [a * b for a, b in zip(A, B[1:])]
 
 
-def filter_finite(point: tuple[float, float], j_max: int, r_lo: float, r_hi: float) -> bool:
-    """True when `filter_levels` at `point` (from `filter_point` with this
-    j_max) is finite at every k whose r_k and r_{k+1} are normal doubles in
-    [r_lo, r_hi].
-
-    Each rounded operation is monotone in its operands, non-decreasing in
-    all of them but a divisor. x_j = j + sigma <= x_top = j_max + sigma and
-    d_j >= x_j^2 >= 1, so each of a, b, c, e at such a level is at most
-    the same expression with x_top, t, d = 1 and r_hi (r_lo as a divisor),
-    and so are A, B and q_hat: all finite where that bound is."""
-    s, tt = point
-    x_top = j_max + s
-    a = 1.0 + r_hi * x_top
-    b = r_hi * tt
-    c = 1.0 + x_top / r_lo
-    e = tt / r_lo
-    return math.isfinite((a * a + b * b) * (c * c + e * e))
-
-
 def int_ratio_float(a: int, b: int) -> float:
     """a/b as a float for positive ints of any size (reporting only)."""
     sh = max(a.bit_length(), b.bit_length()) - 53

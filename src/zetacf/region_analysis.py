@@ -38,17 +38,15 @@ Row n = m-1 holds the coefficients S_j of (x+1)(x+2)...(x+n), whose roots
 are all real, so Newton's inequality j(n-j) S_j^2 >= (j+1)(n-j+1)
 S_{j-1} S_{j+1} (Hardy, Littlewood & Polya, Inequalities, 2.22) makes
 rho_j = j S_j / S_{j-1} non-increasing. Then lam_j = floor(j^2 / ((j+1)
-rho_j)) is non-decreasing and r_j = (j+1) rho_j / j strictly decreasing:
-the suffix minima are lam_j itself, K(lam) is the first j with lam_j >= lam,
-and the least and greatest r_j over j >= K(6) are r_{m-1} = 2/(m-1) and
-r_{K(6)}. So `_margin_context(m)` builds the one context class,
+rho_j)) is non-decreasing: the suffix minima are lam_j itself and K(lam)
+is the first j with lam_j >= lam. So `_margin_context(m)` builds the one context class,
 `_MarginContext`, from the entries S_0..S_w, w = 64, 128, ... until
 lam_w >= 6, with O(m w) products instead of the O(m^2) of the whole row
 (`_stirling_row(m - 1, w)`), and the context swaps the whole row in only
-where a point reads past w: one the filter declines or cannot bound over
-the tail, whose levels are all filtered or tested exactly, or one whose
-argmin search needs K(lam) for a lam > lam_w. A context of an explicit
-whole row is the same class and never swaps.
+where a point reads past w: one the filter declines, whose levels are all
+tested exactly, or one whose argmin search needs K(lam) for a lam >
+lam_w. A context of an explicit whole row is the same class and never
+swaps.
 """
 
 from __future__ import annotations
@@ -80,7 +78,6 @@ from .float_filter import (
     HIGH_END,
     LOW_END,
     PASS_AT,
-    filter_finite,
     filter_levels,
     filter_point,
     fraction_sqrt_float,
@@ -213,31 +210,28 @@ class _MarginContext:
 
     For the tail bound (module docstring) the context keeps the suffix
     minima of lam_j = floor(j Q_j / P_j) over the j it holds (all read as 0
-    when an entry of S is not positive), the start `tail` = K(6) and
-    `tail_r`, the least and greatest r_j over j >= K(6) (None when one of
-    them is NaN, or there are none). A whole row takes nothing from
-    Newton's inequalities, as a crafted row need not be real-rooted. On a
-    Stirling prefix they make lam_j non-decreasing and r_j strictly
-    decreasing: the prefix's suffix minima are lam_j itself, so K(lam) is
-    the whole row's wherever lam <= lam_w, and the least r_j over j >= K(6)
-    is r_{m-1} = 2/(m-1), which joins the prefix's r_j in `tail_r`; rounding
-    is monotone, so that is the whole row's `tail_r`. `level`, `ratios` and
+    when an entry of S is not positive) and the start `tail` = K(6). A
+    whole row takes nothing from Newton's inequalities, as a crafted row
+    need not be real-rooted. On a Stirling prefix they make lam_j
+    non-decreasing: the prefix's suffix minima are lam_j itself, so K(lam)
+    is the whole row's wherever lam <= lam_w. `level`, `ratios` and
     `tail_start` swap in the whole row before they read past the prefix, so
     the context answers as the whole row's does.
+
+    Refuses a row with a zero among S_0..S_{m-2}: v_k is undefined where
+    S_{k-1} = 0.
     """
 
     def __init__(self, S: list[int], m: int | None = None):
         self.m = m = len(S) if m is None else m
         if m < 3:
             raise ValueError("the element test needs m >= 3 (k range 1..m-2)")
+        if 0 in S[:m - 1]:
+            j = S.index(0)
+            raise ValueError(f"S_{j} = 0: v_{j + 1} is undefined")
         self._levels: dict[int, tuple[int, int, int]] = {}  # filled on demand
         self._set_row(S)
         self.tail = self.tail_start(6)
-        tail_r = self.r[self.tail:]
-        if len(S) < m:  # a Stirling prefix: r_{m-1} = 2/(m-1), the least r_j
-            tail_r.append(normal_ratio(2, m - 1))
-        normal = tail_r and not any(map(math.isnan, tail_r))
-        self.tail_r = (min(tail_r), max(tail_r)) if normal else None
 
     def _set_row(self, S: list[int]) -> None:
         """P, Q, r and the suffix minima of lam at j = 1..len(S)-1, from the
@@ -305,7 +299,7 @@ class MarginResult:
     passed: bool
     pole_adjacent: tuple[int, ...]
     float_error_bound: float
-    exact_fallbacks: int  # k-levels the filter left to the exact test
+    exact_fallbacks: int  # k-levels the exact test decided (below K(6) where the filter runs)
 
 
 def _rationalize_point(s) -> tuple[Fraction, Fraction]:
@@ -324,16 +318,15 @@ def _point_margin(ctx: _MarginContext, sigma: Fraction, t: Fraction,
     fallback). The argmin is the first k of least exact |E_k|^2: floats only
     rule out the k that cannot hold it, and the rest are compared exactly.
 
-    Where the filter models the point (so sigma >= 0) and is finite over
-    the row's tail (`filter_finite`), the tail bound decides every k >=
-    K(6) = ctx.tail: |E_k|^2 > 16 there, and the filter would have passed
-    each such k, so no verdict or fallback count moves. Only the k < K(6)
-    are filtered. For the argmin, `cut` from those levels bounds the least
-    |E_k|^2 from above; with lam = 2 + ceil(sqrt(ceil(cut))), every k >=
-    K(lam) has |E_k|^2 > (lam - 2)^2 >= cut, so it cannot hold the first
-    least value, and the k in [K(6), K(lam) - 1] are filtered as well.
-    Elsewhere every k in [k_lo, k_hi] is filtered, or sent to the exact
-    test where the filter declines the point.
+    Where the filter models the point (so sigma >= 0), the tail bound
+    decides every k >= K(6) = ctx.tail: |E_k|^2 > 16 there, so those k pass
+    and none is an exact fallback. Only the k < K(6) are filtered. For the
+    argmin, `cut` from those levels bounds the least |E_k|^2 from above;
+    with lam = 2 + ceil(sqrt(ceil(cut))), every k >= K(lam) has |E_k|^2 >
+    (lam - 2)^2 >= cut, so it cannot hold the first least value, and the k
+    in [K(6), K(lam) - 1] are filtered as well. Elsewhere every k in
+    [k_lo, k_hi] is filtered, or sent to the exact test where the filter
+    declines the point.
 
     Returns (all_pass, argmin_k, num, den, sq, pole_adjacent,
     exact_fallbacks) where num/den is |E_{argmin}|^2 as the exact integer
@@ -375,8 +368,7 @@ def _point_margin(ctx: _MarginContext, sigma: Fraction, t: Fraction,
     if point is None:
         q = [math.nan] * (k_hi - k_lo + 1)
     else:
-        if ctx.tail_r is not None and ctx.tail <= k_hi \
-                and filter_finite(point, k_hi + 1, *ctx.tail_r):
+        if ctx.tail <= k_hi:
             end = max(ctx.tail, k_lo) - 1
         q = filter_levels(ctx.ratios(end + 1), point, k_lo, end)
     exact: dict[int, tuple[int, int]] = {}
@@ -398,9 +390,10 @@ def _point_margin(ctx: _MarginContext, sigma: Fraction, t: Fraction,
 
     # Each finite q_hat_k is within FILTER_REL q_hat_k of |E_k|^2, so `cut`,
     # the least upper end q_hat (1 + FILTER_REL) rounded up, is at least the
-    # least |E_k|^2. The argmin is among the k decided exactly and the k
-    # whose lower end q_hat (1 - FILTER_REL) is <= cut; q_hat * LOW_END is
-    # <= cut in doubles for each of those, as rounding is monotone.
+    # least |E_k|^2. The argmin is among the k decided exactly, the k past
+    # K(6) whose q_hat is not finite, and the k whose lower end q_hat (1 -
+    # FILTER_REL) is <= cut; q_hat * LOW_END is <= cut in doubles for each
+    # of the last, as rounding is monotone.
     q_min = min((q_hat for q_hat in q if q_hat < math.inf), default=math.inf)
     cut = math.nextafter(q_min * HIGH_END, math.inf)
     if end < k_hi:  # the levels past K(6) pass: filter those before K(lam)
@@ -412,7 +405,7 @@ def _point_margin(ctx: _MarginContext, sigma: Fraction, t: Fraction,
         if stop > end:
             q += filter_levels(ctx.ratios(stop + 1), point, end + 1, stop)
     best = None
-    for k in [k for k, q_hat in enumerate(q, k_lo) if q_hat * LOW_END <= cut or k in exact]:
+    for k in [k for k, q_hat in enumerate(q, k_lo) if not cut < q_hat * LOW_END < math.inf or k in exact]:
         num, den = exact.get(k) or pair(k)
         if best is None or num * best[2] < best[1] * den:
             best = k, num, den

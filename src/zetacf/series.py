@@ -411,11 +411,13 @@ class PowerSeries:
 
     def shift(self, k: int) -> "PowerSeries":
         """Multiply by x^k. Negative k divides by x^k and requires the low
-        coefficients to vanish."""
+        coefficients to vanish and -k <= order."""
         if k >= 0:
             return PowerSeries._of([self.num[0] * 0] * k + list(self.num), self.den, self.order + k)
         drop = -k
-        for j in range(min(drop, self.order + 1)):
+        if drop > self.order:
+            raise ValueError(f"cannot divide by x^{drop}: the series has order {self.order}")
+        for j in range(drop):
             if self.num[j]:
                 raise ValueError(f"cannot divide by x^{drop}: coefficient {j} is nonzero")
         return PowerSeries._of(self.num[drop:], self.den, self.order - drop)

@@ -372,7 +372,6 @@ class TestTailBound:
             assert all(holds(lam, j) for j in range(K, m))
             assert K == 1 or not holds(lam, K - 1)
         assert ctx.tail == ctx.tail_start(6)
-        assert ctx.tail_r == (min(whole.r[ctx.tail:]), max(whole.r[ctx.tail:]))
 
     @pytest.mark.parametrize("m", [10, 100])
     def test_skipped_levels_clear_the_bound(self, m):
@@ -389,12 +388,12 @@ class TestTailBound:
                 assert all(q[k] > (lam - 2) ** 2 for k in range(ctx.tail_start(lam), m - 1))
 
     def test_row_with_a_non_positive_entry_has_no_tail(self):
-        assert ra._MarginContext([9, 8, 7, 6, 5, 0]).tail_r is None
+        assert ra._MarginContext([9, 8, 7, 6, 5, 0]).tail == 6
         # every r_j of the negative row is positive, and it still has no tail
         for S in ([1, 1, -1, 50, 1, 1, 1], [-(10 ** (8 - j)) for j in range(9)]):
             ctx = ra._MarginContext(S)
             m = len(S)
-            assert ctx.tail == ctx.tail_start(1) == m and ctx.tail_r is None
+            assert ctx.tail == ctx.tail_start(1) == m
             for sigma, t in ((F(1, 2), F(1)), (F(0), F(3)), (F(1, 3), F(10 ** 9))):
                 found = ra._point_margin(ctx, sigma, t, 1, m - 2)
                 assert found[:4] == _all_k_margin(ctx, sigma, t, 1, m - 2)
@@ -415,8 +414,9 @@ class TestTailBound:
 
     def test_crafted_rows_are_never_swapped(self, monkeypatch):
         # an explicit whole row is the context's row: no read, at points the
-        # filter declines (sigma < 0) or cannot bound over the tail
-        # (t = 10^100), nor K(lam) past every lam_j, swaps in a Stirling row
+        # filter declines (sigma < 0) or whose argmin search reads far into
+        # the tail (t = 10^100), nor K(lam) past every lam_j, swaps in a
+        # Stirling row
         rows = ([1, 1, 1, 50, 1, 1, 1], [1, 1, -1, 50, 1, 1, 1],
                 [-(10 ** (8 - j)) for j in range(9)], [100 ** (8 - j) for j in range(9)],
                 [9, 8, 7, 6, 5, 0])
@@ -426,10 +426,10 @@ class TestTailBound:
             ctx = ra._MarginContext(S)
             got = [ra._point_margin(ctx, sigma, t, 1, len(S) - 2) for sigma, t in points]
             got += [ra._point_margin(ctx, sigma, t, 1, len(S) - 2, want_min=False) for sigma, t in points]
-            return got + [ctx.tail_start(10 ** 6), ctx.tail, ctx.tail_r]
+            return got + [ctx.tail_start(10 ** 6), ctx.tail]
 
         expected = [answers(S) for S in rows]
-        assert expected[0][-3:] == [7, 7, None] and expected[3][-3:-1] == [9, 1]
+        assert expected[0][-2:] == [7, 7] and expected[3][-2:] == [9, 1]
 
         def refuse(n, w=None):
             raise AssertionError(f"a Stirling row {n} was built for an explicit row")
@@ -438,37 +438,45 @@ class TestTailBound:
         assert [answers(S) for S in rows] == expected
 
     def test_far_points_keep_the_full_path(self):
-        # where the filter's tail values could overflow, every level is
-        # filtered as before: the fallback count is the full filter's
+        # far out the filter's values over the tail can overflow; the tail
+        # bound still decides those levels, so the verdict, argmin and pair
+        # are the all-level oracle's and only the levels below K(6) can be
+        # exact fallbacks, unless the filter declines the point (t = 10^155)
         m = 100
         ctx, whole = ra._margin_context(m), _whole_row_context(m)
         for t in (F(10 ** 60), F(10 ** 75), F(10 ** 100), F(10 ** 153), F(10 ** 155)):
-            point = ff.filter_point(F(1, 2), t, m - 1)
-            if point is not None and ff.filter_finite(point, m - 1, *ctx.tail_r):
-                tail = _filter_values(whole.r, F(1, 2), t, ctx.tail, m - 2)
-                assert all(ff.PASS_AT <= qh < math.inf for qh in tail)
             found = ra._point_margin(ctx, F(1, 2), t, 1, m - 2)
             assert found[:4] == _all_k_margin(whole, F(1, 2), t, 1, m - 2)
-            assert found[-1] == _filter_fallbacks(whole, F(1, 2), t, 1, m - 2)
+            declined = ff.filter_point(F(1, 2), t, m - 1) is None
+            assert declined == (t > 10 ** 153)
+            k_top = m - 2 if declined else ctx.tail - 1
+            assert found[-1] == _filter_fallbacks(whole, F(1, 2), t, 1, k_top)
+        # at t = 10^153 the full filter overflows on three tail levels, which
+        # it would leave to the exact test
+        tail = _filter_values(whole.r, F(1, 2), F(10 ** 153), ctx.tail, m - 2)
+        assert sum(map(math.isinf, tail)) == _filter_fallbacks(whole, F(1, 2), F(10 ** 153), 1, m - 2) == 3
 
-    def test_filter_finite_is_sound(self):
-        # at points where filter_finite holds, the filter is finite at every
-        # level whose two ratios lie in [r_lo, r_hi]
-        rng = random.Random(26)
-        ctx, whole = ra._margin_context(300), _whole_row_context(300)
-        r_lo, r_hi = ctx.tail_r
-        tail = range(ctx.tail, 298)
-        finite = 0
-        for _ in range(300):
-            sigma = F(rng.randint(0, 2 ** 20), 2 ** 20) * 10 ** rng.randint(0, 160)
-            t = F(rng.randint(0, 2 ** 20), 2 ** 20) * 10 ** rng.randint(0, 160)
-            point = ff.filter_point(sigma, t, 299)
-            if point is None or not ff.filter_finite(point, 299, r_lo, r_hi):
-                continue
-            finite += 1
-            q = ff.filter_levels(whole.r, point, 1, 298)
-            assert all(math.isfinite(q[k - 1]) for k in tail)
-        assert 50 < finite < 300
+    @pytest.mark.parametrize("S", [
+        [10 ** (400 * (8 - j)) for j in range(9)],  # every ratio near 10^-400: K(6) = 1
+        [10 ** e for e in (4000, 3999, 3998, 3997, 3000, 2000, 1000, 0)],  # a finite head
+    ])
+    def test_rows_whose_ratios_are_not_normal(self, S):
+        # the tail levels whose q_hat is not finite are argmin candidates
+        # decided exactly, and never exact fallbacks
+        ctx = ra._MarginContext(S)
+        m = len(S)
+        assert ctx.tail < m - 2 and math.isnan(ctx.r[-1])
+        for sigma, t in ((F(1, 2), F(1)), (F(0), F(3)), (F(1, 3), F(10 ** 9)), (F(1, 3), F(2))):
+            found = ra._point_margin(ctx, sigma, t, 1, m - 2)
+            assert found[:4] == _all_k_margin(ctx, sigma, t, 1, m - 2), (sigma, t)
+            assert found[-1] == 0
+
+    def test_row_with_a_zero_before_its_last_entry_is_refused(self):
+        # v_k reads S_{k-1} as a divisor; a zero last entry only makes r_{m-1} = 0
+        for S, j in (([1, 0, 1, 1], 1), ([0, 1, 1], 0), ([5, 4, 3, 0, 1], 3)):
+            with pytest.raises(ValueError, match=rf"^S_{j} = 0: v_{j + 1} is undefined$"):
+                ra._MarginContext(S)
+        assert ra._MarginContext([9, 8, 7, 6, 5, 0]).m == 6
 
 
 class TestRowPrefix:
@@ -492,7 +500,7 @@ class TestRowPrefix:
             whole = ra._MarginContext(rows[m])
             w = len(ctx.P) - 1
             assert (w == m - 1) == (m <= 65) and (m <= 65 or w == 64), m
-            assert (ctx.tail, ctx.tail_r) == (whole.tail, whole.tail_r), m
+            assert ctx.tail == whole.tail, m
             lam_w = ctx._lam_min[-1]
             for lam in range(1, min(lam_w, 60) + 1):  # the prefix answers
                 assert ctx.tail_start(lam) == whole.tail_start(lam), (m, lam)
@@ -507,13 +515,13 @@ class TestRowPrefix:
                 assert (ctx.P, ctx.Q, ctx.r[1:]) == (whole.P, whole.Q, whole.r[1:])
             assert [ctx.level(j) for j in (w, m - 2, m - 1)] == [whole.level(j) for j in (w, m - 2, m - 1)]
             assert (ctx.P, ctx.Q, ctx.r[1:]) == (whole.P, whole.Q, whole.r[1:])
-            assert (ctx.tail, ctx.tail_r) == (whole.tail, whole.tail_r)
+            assert ctx.tail == whole.tail
 
     @pytest.mark.parametrize("m, sigma, t, extends", [
         (300, F(-1, 3), F(1, 2), True),  # sigma < 0: the filter declines the point
         (300, F(1, 2), F(10) ** 306, True),  # filter_point overflows
         (300, F(1, 2), F(1, 2 ** 1060), True),  # t is subnormal
-        (300, F(1, 2), F(10) ** 100, True),  # filter_finite fails
+        (300, F(1, 2), F(10) ** 100, True),  # the argmin search reads K(lam) past w
         (300, F(1, 2), F(1000), True),  # the argmin search reads K(lam) past w
         (1000, F(1, 3), F(500), True),
         (1000, F(1, 2), F(1, 3), False),

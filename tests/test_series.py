@@ -197,6 +197,14 @@ class TestPowerSeries:
         with pytest.raises(ValueError):
             a.shift(-1)  # constant term nonzero
 
+    @pytest.mark.parametrize("order, k", [(1, -3), (1, -2), (0, -1)])
+    def test_shift_below_order_zero_is_refused(self, order, k):
+        # every known coefficient is 0, but the result would have order < 0
+        zero = PowerSeries([0] * (order + 1), order)
+        with pytest.raises(ValueError, match=rf"^cannot divide by x\^{-k}: the series has order {order}$"):
+            zero.shift(k)
+        assert zero.shift(-order) == PowerSeries([0], 0)
+
     def test_poly_coefficient_series(self):
         # series over Q[t]: (c0 + c1 y) * inverse works when c0 is a constant poly
         a = PowerSeries([Poly([2]), Poly([-1, 1])], 4)
